@@ -7,20 +7,28 @@ Usage (from the repository root)::
 
 Workloads (see ``BENCHMARK.json`` for why each exists):
 
-* ``apollo_cold`` -- a full assessment of the scale-1.0 Apollo corpus,
-  serial and with ``executor="process", jobs=2``, no cache;
-* ``store_cycle`` -- the same assessment into a fresh sharded store
-  (all writes), then re-assessments through newly opened stores over it
-  (all reads);
+* ``apollo_cold`` -- one untimed serial assessment of the scale-1.0
+  Apollo corpus gated on the paper anchors, then cold assessments of the
+  scale-0.1 corpus, serial and with ``executor="process", jobs=2``,
+  alternating, no cache;
+* ``store_cycle`` -- cycles of an assessment of the scale-0.1 corpus
+  into a fresh sharded store (all writes), then two re-assessments, each
+  through a newly opened store over it (all reads);
 * ``serve_edit`` -- a ``repro-serve`` stdio daemon over a generated tree
   driven by one closed-loop client: seeded one-file edits, about one
   request in five an unchanged-tree ``assess``.
 
-Every timed assessment runs in a fresh process (``child.py``), so its
-peak memory is its own.  With ``--trace 0`` the last stdout line is a
-JSON object carrying the end-to-end metrics, in which ``primary_s`` and
-``secondary_s`` are the workload's own first two metrics of
-:data:`DETAIL` (each also printed by name); with ``--trace 1`` the
+The timed assessments of a run happen in one fresh process
+(``child.py``), so its peak memory is its own.  Every end-to-end time is
+in reference seconds: the wall time corrected by the host-speed probe of
+``hostspeed.py`` run right before and after it, because the speed a
+shared host gives one process drifts by more than the bounds within a
+run; the raw wall medians are printed too.
+
+With ``--trace 0`` the last stdout line is a JSON object carrying the
+end-to-end metrics, in which ``primary_s`` and ``secondary_s`` are the
+workload's own first two metrics of :data:`DETAIL` (each also printed
+by name); with ``--trace 1`` the
 workload runs once untraced and once with the layer wrappers of
 ``layers.py`` installed (inside the daemon through
 ``serve_launcher.py``), and the JSON carries the per-layer metrics.
@@ -30,7 +38,6 @@ Every operation passes the correctness gate of ``gate.py``.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import platform
@@ -51,21 +58,29 @@ LAUNCHER = os.path.join(HERE, "serve_launcher.py")
 sys.path.insert(0, HERE)
 
 import gate  # noqa: E402
+import hostspeed  # noqa: E402
 from summary import median, percentile  # noqa: E402
 
-#: Corpus scale of the one-shot and store workloads.
-SCALE = 1.0
-#: Corpus scale of the served tree: at 1.0 one request costs ~0.5 s on
-#: a 2-CPU box, and 100+ edits per run would not fit the run budget.
-SERVE_SCALE = 0.4
-#: Warm-store re-assessments per run, at least.
-MIN_WARM = 3
+#: Corpus scale of the paper anchors: one untimed serial assessment per
+#: ``apollo_cold`` run must reproduce them.
+PAPER_SCALE = 1.0
+#: Corpus scale of each workload's timed work.  At 1.0 one serial
+#: assessment takes ~8 s and a process-pool one ~13 s, so a 30 s run
+#: would hold three samples, too few for a steady median on a shared
+#: host; at 0.1 it holds a dozen of each, and a dozen store cycles.  One
+#: served request costs ~0.5 s at 1.0 and ~0.1 s at 0.2, where a run
+#: holds 200+ requests, 40+ of them no-ops.
+SCALES = {"apollo_cold": 0.1, "store_cycle": 0.1, "serve_edit": 0.2}
 #: Edit requests per serve run, at least (so p90 has 10 samples beyond).
 MIN_EDITS = 100
 #: Share of serve requests that are unchanged-tree ``assess`` calls.
 NOOP_SHARE = 0.2
+#: Requests after which the daemon's peak memory is read: a fixed count,
+#: so the peak covers the same seeded work on every run, however many
+#: requests the run's seconds hold.
+PEAK_AT_REQUESTS = MIN_EDITS
 #: Daemon set-ups per untraced serve run (``setup_s`` is their median).
-SERVE_SETUPS = 2
+SERVE_SETUPS = 3
 #: Hard stop for the serve request loop, seconds.
 SERVE_CAP_S = 100.0
 CHILD_TIMEOUT_S = 150
@@ -109,11 +124,6 @@ class BenchError(RuntimeError):
     """The benchmark itself could not run (not a gate failure)."""
 
 
-def tree_bytes(root: str) -> int:
-    return sum(os.path.getsize(os.path.join(directory, name))
-               for directory, _, names in os.walk(root) for name in names)
-
-
 def git_commit() -> str:
     if not os.path.isdir(os.path.join(ROOT, ".git")):
         return "unknown (not a git checkout)"
@@ -128,8 +138,10 @@ def git_commit() -> str:
 class Bench:
     """One invocation: seed, time budget, work area, and the tally."""
 
-    def __init__(self, seed: int, seconds: float, work: str) -> None:
+    def __init__(self, seed: int, seconds: float, scale: float,
+                 work: str) -> None:
         self.seed = seed
+        self.scale = scale
         self.seconds = seconds
         self.work = work
         self.usable_cpus = len(os.sched_getaffinity(0))
@@ -151,33 +163,53 @@ class Bench:
                              f"{proc.stderr[-2000:]}")
         return json.loads(proc.stdout.splitlines()[-1])
 
-    def assess(self, mode: str, traced: bool,
-               store: Optional[str] = None) -> Dict[str, Any]:
-        argv = ["assess", "--seed", str(self.seed), "--scale", str(SCALE),
-                "--mode", mode, "--trace", str(int(traced))]
-        if store is not None:
-            argv += ["--store", store]
+    def assess(self, modes: str, traced: bool, plan: Optional[Dict] = None,
+               scale: Optional[float] = None,
+               store_root: Optional[str] = None) -> Dict[str, Any]:
+        """One child cycling through ``modes`` for the run's seconds, or
+        for exactly the ``plan`` of an earlier run; ``scale`` defaults to
+        the workload's, and only set-ups at that scale are kept."""
+        own_scale = scale is None
+        argv = ["assess", "--seed", str(self.seed),
+                "--scale", str(self.scale if own_scale else scale),
+                "--modes", modes, "--trace", str(int(traced))]
+        if plan is None:
+            argv += ["--seconds", str(self.seconds)]
+        else:
+            argv += ["--count", str(plan["count"])]
+        if store_root is not None:
+            argv += ["--store-root", store_root]
         out = self.child(*argv)
-        self.setups.append(out["setup_s"])
+        if own_scale:
+            self.setups.append(out["setup_s"])
         return out
 
     def reference(self) -> str:
         """The serial reference digest for this seed (untimed)."""
         if self._reference is None:
-            self.tally.record(self.adopt_reference(self.child(
-                "assess", "--seed", str(self.seed), "--scale", str(SCALE),
-                "--mode", "serial")), "serial reference")
+            out = self.assess("serial", traced=False, plan={"count": 1})
+            self.tally.record(self.adopt_reference(out["samples"][0]),
+                              "serial reference")
         return self._reference
 
     def adopt_reference(self, serial: Dict[str, Any]) -> str:
-        """Gate a serial result against the paper anchors and make it
-        the reference when there is none yet; returns the problem."""
-        problems = gate.anchor_failures(serial["anchors"])
+        """Make a serial result the reference when it is sound and there
+        is none yet; returns the problem."""
         if serial["degraded"]:
-            problems.append("degraded")
-        if not problems and self._reference is None:
+            return "degraded"
+        if self._reference is None:
             self._reference = serial["digest"]
-        return "; ".join(problems)
+        return ""
+
+    def check_anchors(self) -> None:
+        """Gate an untimed serial assessment of the paper-scale corpus
+        against the paper anchors."""
+        out = self.assess("serial", traced=False, plan={"count": 1},
+                          scale=PAPER_SCALE)["samples"][0]
+        problems = gate.anchor_failures(out["anchors"])
+        if out["degraded"]:
+            problems.append("degraded")
+        self.tally.record("; ".join(problems), "paper anchors")
 
     def check(self, out: Dict[str, Any], what: str,
               misses: Optional[int] = None,
@@ -199,59 +231,50 @@ class Bench:
 
 
 def apollo_cold(bench: Bench, traced: bool, plan: Optional[Dict] = None):
-    """Serial and process-pool assessments, alternating, the first
-    serial one also the reference; each next one runs while it fits."""
-    phases = []
-    walls: Dict[str, List[float]] = {"serial": [], "process2": []}
-    took: Dict[str, float] = {}
-    start = time.perf_counter()
-    for done, mode in enumerate(itertools.cycle(("serial", "process2"))):
-        if plan is not None:
-            if done >= plan["assessments"]:
-                break
-        elif (done >= 2
-              and time.perf_counter() - start + took[mode] > bench.seconds):
-            break
-        began = time.perf_counter()
-        out = bench.assess(mode, traced)
-        took[mode] = time.perf_counter() - began
-        if bench._reference is None:
-            bench.tally.record(bench.adopt_reference(out),
-                               "serial reference")
-        else:
-            bench.check(out, mode)
-        phases.append((mode, out))
-        walls[mode].append(out["wall_s"])
-    metrics = {"cold_serial_s": median(walls["serial"]),
-               "cold_process2_s": median(walls["process2"])}
-    return metrics, {"assessments": done}, phases
+    """The paper anchors; one serial and one process-pool assessment in
+    a fresh process, the serial one the reference, for the peak memory
+    of one of each; then both, alternating in one process while they
+    fit."""
+    metrics = {}
+    if plan is None:
+        bench.check_anchors()
+        once = bench.assess("serial,process2", False, {"count": 2})
+        serial, pooled = once["samples"]
+        bench.tally.record(bench.adopt_reference(serial), "serial reference")
+        bench.check(pooled, "process2")
+        metrics["peak_rss_mb"] = once["peak_rss_mb"]
+    out = bench.assess("serial,process2", traced, plan)
+    times: Dict[str, List[float]] = {"serial": [], "process2": []}
+    for sample in out["samples"]:
+        bench.check(sample, sample["mode"])
+        times[sample["mode"]].append(sample["time_s"])
+    metrics.update({"cold_serial_s": median(times["serial"]),
+                    "cold_process2_s": median(times["process2"])})
+    return metrics, {"count": len(out["samples"])}, [("child", out)]
 
 
 def store_cycle(bench: Bench, traced: bool, plan: Optional[Dict] = None):
+    """Cycles of a fresh store filled cold, then re-read warm twice, each
+    time through a newly opened store, in one process while they fit."""
     bench.reference()
-    store = os.path.join(bench.fresh_dir("store"), "store")
-    start = time.perf_counter()
-    cold = bench.assess("store", traced, store=store)
-    bench.check(cold, "cold store", hits=0)
-    store_mb = tree_bytes(store) / 1e6
-    phases = [("store_cold", cold)]
-    warm_walls: List[float] = []
-    while True:
-        began = time.perf_counter()
-        warm = bench.assess("store", traced, store=store)
-        bench.check(warm, "warm store", misses=0)
-        phases.append(("store_warm", warm))
-        warm_walls.append(warm["wall_s"])
-        last = time.perf_counter() - began
-        if plan is not None:
-            if len(warm_walls) >= plan["warm"]:
-                break
-        elif (len(warm_walls) >= MIN_WARM
-              and time.perf_counter() - start + last > bench.seconds):
-            break
-    metrics = {"cold_store_s": cold["wall_s"],
-               "warm_store_s": median(warm_walls), "store_mb": store_mb}
-    return metrics, {"warm": len(warm_walls)}, phases
+    out = bench.assess("cold,warm,warm", traced, plan,
+                       store_root=bench.fresh_dir("stores"))
+    times: Dict[str, List[float]] = {"cold": [], "warm": []}
+    sizes = set()
+    for sample in out["samples"]:
+        if sample["mode"] == "cold":
+            bench.check(sample, "cold store", hits=0)
+            sizes.add(sample["store_mb"])
+        else:
+            bench.check(sample, "warm store", misses=0)
+        times[sample["mode"]].append(sample["time_s"])
+    if len(sizes) != 1:
+        bench.tally.record(f"store sizes differ: {sorted(sizes)}",
+                           "store size")
+    metrics = {"cold_store_s": median(times["cold"]),
+               "warm_store_s": median(times["warm"]),
+               "store_mb": min(sizes), "peak_rss_mb": out["peak_rss_mb"]}
+    return metrics, {"count": len(out["samples"])}, [("child", out)]
 
 
 class Daemon:
@@ -307,12 +330,12 @@ class Daemon:
 def serve_setup(bench: Bench, traced: bool, firsts: List[float]):
     """Generate the tree, start a daemon and have it answer its first,
     cold ``assess``: all of it set-up, the cold assess also kept in
-    ``firsts``."""
+    ``firsts`` (both corrected by a probe right after)."""
     from repro.corpus import apollo_spec, generate_corpus
     from repro.corpus.writer import write_corpus
 
     began = time.perf_counter()
-    corpus = generate_corpus(apollo_spec(scale=SERVE_SCALE,
+    corpus = generate_corpus(apollo_spec(scale=bench.scale,
                                          seed=bench.seed))
     tree = os.path.join(bench.fresh_dir("tree"), "tree")
     write_corpus(corpus, tree)
@@ -324,8 +347,13 @@ def serve_setup(bench: Bench, traced: bool, firsts: List[float]):
         pong = daemon.request("ping")
         assessing = time.perf_counter()
         first = daemon.request()
-        firsts.append(time.perf_counter() - assessing)
-        bench.setups.append(time.perf_counter() - began)
+        first_s = time.perf_counter() - assessing
+        setup_s = time.perf_counter() - began
+        speed = hostspeed.probe(hostspeed.ASSESS_CHUNKS)
+        firsts.append(hostspeed.corrected(first_s, speed,
+                                          hostspeed.ASSESS_CHUNKS))
+        bench.setups.append(hostspeed.corrected(setup_s, speed,
+                                                hostspeed.ASSESS_CHUNKS))
     except BaseException:
         daemon.close()
         raise
@@ -345,10 +373,14 @@ def serve_edit(bench: Bench, traced: bool, plan: Optional[Dict] = None):
         shutil.rmtree(os.path.dirname(tree), ignore_errors=True)
     daemon, tree, paths, trace_out = serve_setup(bench, traced, firsts)
     rng = random.Random(bench.seed)
-    edits, noops, misses = [], [], []
+    edits, noops, misses, raw = [], [], [], []
     reply: Dict[str, Any] = {}
+    peak = None
     try:
         start = time.perf_counter()
+        # each latency is corrected by the mean of the probes the client
+        # runs just before and just after its request
+        last_probe = hostspeed.probe(hostspeed.REQUEST_CHUNKS)
         while True:
             elapsed = time.perf_counter() - start
             if plan is not None:
@@ -367,13 +399,21 @@ def serve_edit(bench: Bench, traced: bool, plan: Optional[Dict] = None):
             began = time.perf_counter()
             reply = daemon.request()
             latency = time.perf_counter() - began
+            raw.append(latency)
+            probe_s = hostspeed.probe(hostspeed.REQUEST_CHUNKS)
+            latency = hostspeed.corrected(latency, (last_probe + probe_s) / 2,
+                                          hostspeed.REQUEST_CHUNKS)
+            last_probe = probe_s
             expected = gate.NOOP_MISSES if noop else gate.EDIT_MISSES
             bench.tally.record(gate.reply_problem(reply, expected),
                                "noop" if noop else "edit")
             (noops if noop else edits).append(latency)
             if not noop:
                 misses.append(reply.get("cache", {}).get("misses", 0))
-        peak = daemon.peak_rss_mb()
+            if len(edits) + len(noops) == PEAK_AT_REQUESTS:
+                peak = daemon.peak_rss_mb()
+        if peak is None:
+            peak = daemon.peak_rss_mb()
     finally:
         daemon.close()
     oneshot = bench.child("oneshot", "--tree", tree)
@@ -386,11 +426,11 @@ def serve_edit(bench: Bench, traced: bool, plan: Optional[Dict] = None):
     p90, beyond = percentile(edits, 90)
     metrics = {"first_assess_s": median(firsts),
                "edit_p50_ms": median(edits) * 1e3, "edit_p90_ms": p90 * 1e3,
-               "noop_p50_ms": median(noops) * 1e3}
+               "noop_p50_ms": median(noops) * 1e3, "peak_rss_mb": peak}
     notes = [f"edit samples {len(edits)} ({beyond} beyond p90), "
              f"noop samples {len(noops)}"]
-    phases = [("serve", {"latencies": edits + noops, "misses": misses,
-                         "trace_out": trace_out, "peak_rss_mb": peak,
+    phases = [("serve", {"latencies": raw, "misses": misses,
+                         "trace_out": trace_out,
                          "requests": len(edits) + len(noops)})]
     return metrics, {"requests": len(edits) + len(noops), "notes": notes}, \
         phases
@@ -419,9 +459,19 @@ def _per_request_ms(records: List[Dict[str, Any]], label: str) -> float:
     return median(values) * 1e3 if values else 0.0
 
 
+def _samples(phases):
+    """``(kind, wall seconds)`` of every timed operation in ``phases``."""
+    for kind, out in phases:
+        if kind == "serve":
+            for latency in out["latencies"]:
+                yield kind, latency
+        else:
+            for sample in out["samples"]:
+                yield sample["mode"], sample["wall_s"]
+
+
 def layer_metrics(traced_phases, untraced_phases) -> Dict[str, Any]:
     snapshots, records, misses = [], [], []
-    walls = untraced = 0.0
     shares = []
     for kind, out in traced_phases:
         if kind == "serve":
@@ -431,17 +481,16 @@ def layer_metrics(traced_phases, untraced_phases) -> Dict[str, Any]:
                 records = json.load(handle)[2:2 + out["requests"]]
             snapshots.extend(records)
             misses.extend(out["misses"])
-            wall = sum(out["latencies"])
-            attributed = sum(record["attributed_s"] for record in records)
+            shares.append((kind, sum(record["attributed_s"]
+                                     for record in records)
+                           / sum(out["latencies"])))
         else:
             snapshots.append(out["layers"])
-            wall = out["wall_s"]
-            attributed = out["layers"]["attributed_s"]
-        walls += wall
-        shares.append((kind, attributed / wall if wall else 0.0))
-    for kind, out in untraced_phases:
-        untraced += (sum(out["latencies"]) if kind == "serve"
-                     else out["wall_s"])
+            shares.extend((sample["mode"],
+                           sample["attributed_s"] / sample["wall_s"])
+                          for sample in out["samples"])
+    walls = sum(wall for _, wall in _samples(traced_phases))
+    untraced = sum(wall for _, wall in _samples(untraced_phases))
     total = _sum_snapshots(snapshots)
     own, calls, counts = total["self_time"], total["calls"], total["counts"]
     gets = calls["store_get"]
@@ -476,6 +525,17 @@ def layer_metrics(traced_phases, untraced_phases) -> Dict[str, Any]:
     return metrics, shares
 
 
+def _raw_walls(phases) -> str:
+    """The uncorrected wall times' medians and minima, per kind of
+    phase."""
+    by_kind: Dict[str, List[float]] = {}
+    for kind, wall in _samples(phases):
+        by_kind.setdefault(kind, []).append(wall)
+    return "raw wall median/min: " + ", ".join(
+        f"{kind} {median(values):.6g}/{min(values):.6g} s "
+        f"({len(values)} samples)" for kind, values in by_kind.items())
+
+
 def _phase_shares(shares) -> List[str]:
     by_kind: Dict[str, List[float]] = {}
     for kind, share in shares:
@@ -490,7 +550,7 @@ def _phase_shares(shares) -> List[str]:
 
 def run(args) -> Dict[str, Any]:
     work = os.path.join(WORK_ROOT, f"{args.workload}-{os.getpid()}")
-    bench = Bench(args.seed, args.seconds, work)
+    bench = Bench(args.seed, args.seconds, SCALES[args.workload], work)
     workload = WORKLOADS[args.workload]
     os.makedirs(work)
     detail: Dict[str, Any] = {}
@@ -503,9 +563,8 @@ def run(args) -> Dict[str, Any]:
             units = dict(PER_LAYER)
             notes += _phase_shares(shares)
         else:
-            metrics["peak_rss_mb"] = max(out["peak_rss_mb"]
-                                         for _, out in phases)
             metrics["setup_s"] = median(bench.setups)
+            notes.append(_raw_walls(phases))
             (first, first_unit), (second, second_unit) = \
                 DETAIL[args.workload][:2]
             metrics["primary_s"] = in_seconds(metrics[first], first_unit)
@@ -537,12 +596,16 @@ def stamp(args, usable_cpus: int) -> Dict[str, Any]:
     return {
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "trace": args.trace,
-        "scale": SERVE_SCALE if args.workload == "serve_edit" else SCALE,
+        "scale": SCALES[args.workload],
+        "paper_scale": (PAPER_SCALE if args.workload == "apollo_cold"
+                        else None),
         "executors": {"apollo_cold": ["serial", "process/jobs=2"],
                       "store_cycle": ["serial"],
                       "serve_edit": ["serial"]}[args.workload],
         "cpu_count": os.cpu_count(), "usable_cpus": usable_cpus,
         "python": platform.python_version(), "commit": git_commit(),
+        "timing": "reference seconds (hostspeed probe, chunk nominal "
+                  f"{hostspeed.CHUNK_NOMINAL_S} s)",
     }
 
 

@@ -18,6 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
 sys.path.insert(0, BENCH)
 
 import gate  # noqa: E402
+import hostspeed  # noqa: E402
 import layers  # noqa: E402
 from summary import percentile  # noqa: E402
 
@@ -48,6 +49,17 @@ class PercentileTest(unittest.TestCase):
             percentile([], 50)
         with self.assertRaises(ValueError):
             percentile([1], 0)
+
+
+class HostSpeedTest(unittest.TestCase):
+
+    def test_correction_scales_with_the_probe(self):
+        nominal = hostspeed.CHUNK_NOMINAL_S * 4
+        self.assertAlmostEqual(hostspeed.corrected(2.0, nominal, 4), 2.0)
+        self.assertAlmostEqual(hostspeed.corrected(2.0, 2 * nominal, 4), 1.0)
+
+    def test_probe_takes_time(self):
+        self.assertGreater(hostspeed.probe(2), 0.0)
 
 
 class WrapperTest(unittest.TestCase):
