@@ -29,7 +29,7 @@ from repro.iso26262.compliance import ComplianceEngine
 from repro.iso26262.observations import generate_observations
 from repro.lang.cppmodel import parse_translation_unit
 from repro.metrics.complexity import summarize_units
-from repro.metrics.loc import EMPTY_LINE_COUNTS, count_lines
+from repro.lang.lines import EMPTY_LINE_COUNTS
 from repro.metrics.report import ModuleMetrics
 from repro.obs import Tracer
 
@@ -57,8 +57,7 @@ def _baseline_assess(sources):
     for name, members in sorted(by_module.items()):
         lines = EMPTY_LINE_COUNTS
         for unit in members:
-            lines = lines + count_lines(sources.get(unit.filename, ""),
-                                        unit.tokens)
+            lines = lines + unit.lines
         modules.append(ModuleMetrics(
             name=name, lines=lines, file_count=len(members),
             complexity=summarize_units(members),

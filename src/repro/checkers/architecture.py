@@ -15,9 +15,10 @@ whole include and call graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List, Set, Union
 
 from ..lang.cppmodel import TranslationUnit
+from ..lang.summary import UnitSummary, unit_summaries
 from ..rules import REGISTRY, Rule
 from .base import Checker, CheckerReport, Finding, Severity
 
@@ -95,8 +96,11 @@ class ArchitectureChecker(Checker):
         return report
 
     def check_project(self,
-                      units: Iterable[TranslationUnit]) -> CheckerReport:
-        units = list(units)
+                      units: Iterable[Union[TranslationUnit, UnitSummary]]
+                      ) -> CheckerReport:
+        """The seven project-level checks, over the files' summaries
+        (full units are summarized first)."""
+        units = unit_summaries(units)
         report = self.new_report(units)
         modules = self._group_by_module(units)
 
@@ -143,15 +147,15 @@ class ArchitectureChecker(Checker):
 
     # ------------------------------------------------------------------
 
-    def _group_by_module(self, units: List[TranslationUnit]
-                         ) -> Dict[str, List[TranslationUnit]]:
-        modules: Dict[str, List[TranslationUnit]] = {}
+    def _group_by_module(self, units: List[UnitSummary]
+                         ) -> Dict[str, List[UnitSummary]]:
+        modules: Dict[str, List[UnitSummary]] = {}
         for unit in units:
             modules.setdefault(self.module_of(unit.filename), []).append(unit)
         return modules
 
     @staticmethod
-    def _hierarchy_depth(units: List[TranslationUnit]) -> int:
+    def _hierarchy_depth(units: List[UnitSummary]) -> int:
         depth = 0
         for unit in units:
             normalized = unit.filename.replace("\\", "/")
@@ -159,7 +163,7 @@ class ArchitectureChecker(Checker):
         return depth
 
     def _check_component_sizes(self,
-                               modules: Dict[str, List[TranslationUnit]],
+                               modules: Dict[str, List[UnitSummary]],
                                report: CheckerReport) -> int:
         oversized = 0
         for name, members in sorted(modules.items()):
@@ -175,7 +179,8 @@ class ArchitectureChecker(Checker):
                     oversized += 1
         return oversized
 
-    def _check_interfaces(self, units: List[TranslationUnit],
+    def _check_interfaces(self,
+                          units: List[Union[TranslationUnit, UnitSummary]],
                           report: CheckerReport) -> int:
         violations = 0
         for unit in units:
@@ -194,7 +199,7 @@ class ArchitectureChecker(Checker):
                         violations += 1
         return violations
 
-    def _cohesion(self, modules: Dict[str, List[TranslationUnit]]
+    def _cohesion(self, modules: Dict[str, List[UnitSummary]]
                   ) -> Dict[str, float]:
         """Fraction of resolvable calls staying inside the module.
 
@@ -223,14 +228,14 @@ class ArchitectureChecker(Checker):
             cohesion[name] = internal / resolvable if resolvable else 1.0
         return cohesion
 
-    def _coupling(self, modules: Dict[str, List[TranslationUnit]],
+    def _coupling(self, modules: Dict[str, List[UnitSummary]],
                   report: CheckerReport) -> Dict[str, int]:
         """Cross-module include fan-out per module (Table 3 item 5)."""
         fanout: Dict[str, int] = {}
         for name, members in sorted(modules.items()):
             targets: Set[str] = set()
             for unit in members:
-                for include in unit.preprocessor.local_includes:
+                for include in unit.local_includes:
                     target_module = self.module_of(include.target)
                     if target_module not in ("<root>", name):
                         targets.add(target_module)
@@ -247,7 +252,7 @@ class ArchitectureChecker(Checker):
         return fanout
 
     @staticmethod
-    def _count_calls(units: List[TranslationUnit], names: frozenset,
+    def _count_calls(units: List[UnitSummary], names: frozenset,
                      rule: str, report: CheckerReport,
                      description: str) -> int:
         sites = 0

@@ -23,11 +23,12 @@ from __future__ import annotations
 import abc
 import traceback as traceback_module
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..engine.index import function_line_index
 from ..errors import ReproError
 from ..lang.cppmodel import TranslationUnit
+from ..lang.summary import UnitSummary
 from ..obs import NULL_LOG, NULL_TRACER
 from ..rules import (
     CHECKER_CRASH,
@@ -38,7 +39,6 @@ from ..rules import (
     RuleProfile,
     Severity,
     UNKNOWN_RULE,
-    scan_deviations,
 )
 
 __all__ = [
@@ -242,15 +242,6 @@ def crash_report(checker: str, crash: CheckerCrash) -> CheckerReport:
     return report
 
 
-def _unit_deviations(unit: TranslationUnit) -> DeviationIndex:
-    """The unit's deviation index, scanned once and memoized on it."""
-    index = getattr(unit, "_deviations", None)
-    if index is None:
-        index = scan_deviations(unit.tokens, unit.filename)
-        unit._deviations = index
-    return index
-
-
 class Checker(abc.ABC):
     """Base class for all static checkers.
 
@@ -296,11 +287,17 @@ class Checker(abc.ABC):
         """
         return False
 
-    def finish_from_units(self, units: List[TranslationUnit],
+    def finish_from_units(self,
+                          units: List[Union[TranslationUnit, UnitSummary]],
                           unit_reports: List[CheckerReport]
                           ) -> CheckerReport:
         """Assemble the project report from per-unit reports.
 
+        ``units`` are the checked files — in the pipeline their
+        :class:`~repro.lang.summary.UnitSummary` records, since the full
+        units are gone by now.  An override must read only summary
+        fields; other callers may pass full units, which it converts
+        with :func:`~repro.lang.summary.unit_summaries`.
         ``unit_reports`` are this checker's per-unit reports in unit
         order — produced by :meth:`check_unit` or the fused engine, and
         possibly replayed from the result cache.  The default merge +
@@ -319,21 +316,25 @@ class Checker(abc.ABC):
         """The :class:`~repro.rules.Rule` records this checker emits."""
         return REGISTRY.rules_for(self.name)
 
-    def new_report(self, units: Iterable[TranslationUnit] = (),
+    def new_report(self,
+                   units: Iterable[Union[TranslationUnit, UnitSummary]] = (),
                    flag_deviations: bool = True) -> CheckerReport:
         """A report wired to the rules layer for checking ``units``.
 
-        With no profile and no ``DEVIATION(...)`` comments in ``units``
-        this returns a bare report (no :class:`RuleView`), keeping the
-        default path identical to the pre-rules behavior.  Otherwise the
-        report routes findings through the view, and — unless
-        ``flag_deviations`` is off, as in project-level reports whose
-        per-unit reports already did it — malformed deviations owned by
-        this checker are emitted as findings up front.
+        ``units`` may be full units or their summaries: both carry the
+        file's :class:`~repro.rules.DeviationIndex`, scanned once when
+        the file was parsed.  With no profile and no ``DEVIATION(...)``
+        comments in ``units`` this returns a bare report (no
+        :class:`RuleView`), keeping the default path identical to the
+        pre-rules behavior.  Otherwise the report routes findings
+        through the view, and — unless ``flag_deviations`` is off, as in
+        project-level reports whose per-unit reports already did it —
+        malformed deviations owned by this checker are emitted as
+        findings up front.
         """
         deviations: Optional[DeviationIndex] = None
         for unit in units:
-            index = _unit_deviations(unit)
+            index = unit.deviations
             if index:
                 if deviations is None:
                     deviations = DeviationIndex()
@@ -410,7 +411,10 @@ class Checker(abc.ABC):
 
         The default implementation merges per-unit reports and then calls
         :meth:`finalize` so ratio statistics can be recomputed from the
-        summed counters.
+        summed counters.  The pipeline replays it from per-unit reports
+        instead (see :meth:`finish_from_units`); a checker overriding
+        only this method is project-level, and the pipeline hands it the
+        files' :class:`~repro.lang.summary.UnitSummary` records.
         """
         report = CheckerReport(checker=self.name)
         for unit in units:

@@ -20,9 +20,10 @@ needs the whole call graph), so :meth:`check_project` overrides the default.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from ..lang.cppmodel import TYPE_KEYWORDS, FunctionInfo, TranslationUnit
+from ..lang.summary import UnitSummary, unit_summaries
 from ..lang.tokens import Token, TokenKind
 from ..rules import REGISTRY, Rule
 from .base import Checker, CheckerReport, Finding, Severity
@@ -152,14 +153,16 @@ class UnitDesignChecker(Checker):
         return self.finish_from_units(
             units, [self.check_unit(unit) for unit in units])
 
-    def finish_from_units(self, units: List[TranslationUnit],
+    def finish_from_units(self,
+                          units: List[Union[TranslationUnit, UnitSummary]],
                           unit_reports: List[CheckerReport]
                           ) -> CheckerReport:
         """Merge the per-unit reports, then run the project-wide
         call-graph recursion pass — the part that genuinely needs every
-        unit at once.  Overriding this (rather than only
-        :meth:`check_project`) lets the pipeline distribute and cache
-        this checker's per-unit portion like any other."""
+        unit at once, and only their summaries.  Overriding this (rather
+        than only :meth:`check_project`) lets the pipeline distribute
+        and cache this checker's per-unit portion like any other."""
+        units = unit_summaries(units)
         report = self.new_report(units, flag_deviations=False)
         for unit_report in unit_reports:
             report.merge(unit_report)
@@ -328,7 +331,7 @@ class UnitDesignChecker(Checker):
     # ------------------------------------------------------------------
     # item 10: recursion (direct and indirect)
 
-    def _check_recursion(self, units: List[TranslationUnit],
+    def _check_recursion(self, units: List[UnitSummary],
                          report: CheckerReport) -> int:
         """Report functions on a call-graph cycle; returns the count.
 

@@ -22,7 +22,7 @@ history and shards).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from ..store.objects import CACHE_MISS, SCHEMA_TAG, ObjectStore
 
@@ -35,7 +35,9 @@ __all__ = ["CACHE_MISS", "CHECK_TAG", "MemoryCache", "PARSE_TAG",
 #: parse:3 — lexer rewrite: hex floats lex correctly, number
 #: maximal-munch edges changed, preprocessor summary built from the
 #: token stream.
-PARSE_TAG = "parse:3"
+#: parse:4 — ParseOutcome holds the token-free UnitSummary (functions,
+#: classes, globals, includes, line counts, deviations), not the unit.
+PARSE_TAG = "parse:4"
 
 #: Stage tag for per-unit checker bundles; the bundle key additionally
 #: folds in every checker's :meth:`~repro.checkers.base.Checker.
@@ -112,6 +114,21 @@ class MemoryCache(ResultCache):
 
     def absorb(self, area_root: str) -> int:
         return 0
+
+    def retain(self, keys: Set[str]) -> int:
+        """Keep only the entries under ``keys``; drop every other one.
+
+        ``repro-serve`` calls this after each assessment with the keys
+        its roots' latest assessments touched, so an edited file's
+        superseded parse and checker entries do not pile up: the cache
+        tracks the trees, not their edit history.  :attr:`referenced`
+        is trimmed to the kept entries.  Returns the number dropped.
+        """
+        stale = [key for key in self._entries if key not in keys]
+        for key in stale:
+            del self._entries[key]
+        self.referenced.intersection_update(self._entries)
+        return len(stale)
 
     def clear(self) -> int:
         """Drop every entry (an explicit ``serve`` cache reset).

@@ -33,8 +33,11 @@ results, and the parent replays it via
 every event.
 
 Worker task functions are module-level so the ``process`` executor can
-pickle them; every payload (tasks, :class:`TranslationUnit` results,
-checker reports, worker tracers) is plain-dataclass picklable.
+pickle them; every payload (tasks, parse outcomes, checker reports,
+worker tracers) is plain-dataclass picklable.  A parse outcome carries
+the file's compact :class:`~repro.lang.summary.UnitSummary`, which is
+what the result cache keeps; the full :class:`TranslationUnit` rides
+along only to this run's check stage (see :class:`ParseOutcome`).
 
 The engine is additionally *fault-isolated* (see :func:`run_tasks` and
 :func:`check_unit_bundle`): a dead or hung worker costs one serial
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..checkers.base import (
@@ -60,6 +63,7 @@ from ..checkers.base import (
 from ..engine.driver import fused_unit_bundle
 from ..errors import ConfigError, ReproError, SourceError
 from ..lang.cppmodel import TranslationUnit, parse_translation_unit
+from ..lang.summary import UnitSummary, summarize_unit
 from ..obs import NULL_LOG, NULL_TRACER, BufferLog, EventLog, Span, Tracer
 from ..store.objects import ObjectStore
 
@@ -201,16 +205,34 @@ def run_tasks(function: Callable, tasks: Sequence, *, jobs: int,
 
 @dataclass
 class ParseOutcome:
-    """What parsing one file produced: a unit, a parse error, or a
-    contained parser-internal crash."""
+    """What parsing one file produced: a unit summary, a parse error, or
+    a contained parser-internal crash.
+
+    This is the ``PARSE_TAG`` cache entry, so it stays token-free: the
+    full model of a freshly parsed file travels in :attr:`unit` only as
+    far as this run's check stage, and :meth:`cacheable` drops it.
+    """
 
     path: str
-    unit: Optional[TranslationUnit] = None
+    summary: Optional[UnitSummary] = None
     error: Optional[SourceError] = None
     #: A non-``SourceError`` raised inside the parser, contained (unless
     #: the run is strict); the file counts as unparseable and the run
     #: as degraded.
     crash: Optional[CheckerCrash] = None
+    #: The full model behind :attr:`summary`, set only on a fresh parse
+    #: (never on a cache hit): the per-unit checker sweep needs it.
+    unit: Optional[TranslationUnit] = field(default=None, repr=False,
+                                            compare=False)
+
+    def cacheable(self) -> "ParseOutcome":
+        """This outcome as the cache stores it: without :attr:`unit`."""
+        return replace(self, unit=None) if self.unit is not None else self
+
+
+def summarized(path: str, unit: TranslationUnit) -> ParseOutcome:
+    """The outcome of a successful parse: summarized right away."""
+    return ParseOutcome(path, summary=summarize_unit(unit), unit=unit)
 
 
 @dataclass
@@ -250,7 +272,7 @@ def parse_one(path: str, source: str, strict: bool = False
             raise
         return ParseOutcome(path, crash=make_crash(
             "parse", "parse", error, path=path))
-    return ParseOutcome(path, unit=unit)
+    return summarized(path, unit)
 
 
 def run_parse_task(task: ParseTask
@@ -276,14 +298,14 @@ def run_parse_task(task: ParseTask
         for index, (path, source) in enumerate(task.items):
             with tracer.span("parse_file", path=path) as span:
                 outcome = parse_one(path, source, strict=task.strict)
-                if outcome.unit is None:
+                if outcome.summary is None:
                     span.set("failed", 1)
                     failures += 1
                 outcomes.append(outcome)
                 # Contained parser crashes are never cached: the fault
                 # may be transient, and strict runs must reproduce it.
                 if area is not None and outcome.crash is None:
-                    area.put(task.cache_keys[index], outcome)
+                    area.put(task.cache_keys[index], outcome.cacheable())
             if tracer.enabled:
                 timings.observe(span.duration)
         worker_span.set("files", len(task.items))

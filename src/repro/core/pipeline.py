@@ -18,6 +18,14 @@ way the produced :class:`AssessmentResult` is identical to a serial,
 cold-cache run: chunks are cut from the sorted path list and merged
 back in that order, and only checkers whose project report is a pure
 per-unit merge are distributed.
+
+Full :class:`~repro.lang.cppmodel.TranslationUnit` models live only
+between a file's parse and its checker sweep.  Every later stage —
+metrics, the checkers' project-level finish, the project-level checkers
+— reads the compact :class:`~repro.lang.summary.UnitSummary` taken
+right after parsing, and that summary is what the parse cache entry
+holds.  A file whose parse entry hits but whose checker entry misses (a
+changed profile or checker) is re-parsed from its source for the sweep.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from ..iso26262.evidence import EvidenceSet
 from ..iso26262.observations import generate_observations
 from ..engine.driver import fused_unit_bundle
 from ..lang.cppmodel import TranslationUnit, parse_translation_unit
+from ..lang.summary import UnitSummary
 from ..metrics.report import ModuleMetrics, measure_module
 from ..obs import NULL_LOG, NULL_TRACER, EventLog, Span, Tracer
 from ..store.layout import OBJECTS_DIRNAME, default_shard_name
@@ -68,6 +77,7 @@ from .parallel import (
     run_parse_task,
     run_tasks,
     split_checkers,
+    summarized,
     worker_count,
 )
 
@@ -188,9 +198,10 @@ class AssessmentPipeline:
     def _run(self, sources: Mapping[str, str],
              crashes: List[CheckerCrash], tracer, log) -> AssessmentResult:
         with tracer.span("pipeline") as root:
-            units, unparseable = self._parse_all(sources, crashes)
+            units, fresh, unparseable = self._parse_all(sources, crashes)
             modules = self._measure_modules(sources, units)
-            reports = self._run_checkers(sources, units)
+            reports = self._run_checkers(sources, units, fresh)
+            del fresh  # the full units: nothing past the sweep needs them
             for name in reports:
                 crashes.extend(reports[name].crashes)
             if crashes:
@@ -232,13 +243,22 @@ class AssessmentPipeline:
     # stage 1: parse
 
     def _parse_all(self, sources: Mapping[str, str],
-                   crashes: List[CheckerCrash]):
+                   crashes: List[CheckerCrash]
+                   ) -> Tuple[List[UnitSummary], Dict[str, TranslationUnit],
+                              List[str]]:
+        """Parse stage: ``(summaries, fresh full units by path,
+        unparseable paths)``, summaries in sorted path order.
+
+        Cache hits yield summaries only; the full units of the files
+        parsed in this run are handed on to the check stage.
+        """
         tracer = self.tracer
         cache = self.config.cache
         metrics = tracer.metrics
         parsed = metrics.counter("pipeline.units_parsed")
         failed = metrics.counter("pipeline.parse_failures")
-        units: List[TranslationUnit] = []
+        units: List[UnitSummary] = []
+        fresh_units: Dict[str, TranslationUnit] = {}
         unparseable: List[str] = []
         with tracer.span("parse") as parse_span:
             paths = sorted(sources)
@@ -270,7 +290,7 @@ class AssessmentPipeline:
                         and outcome.path not in persisted):
                     cache.put(cache.key_for(PARSE_TAG, outcome.path,
                                             sources[outcome.path]),
-                              outcome)
+                              outcome.cacheable())
             for path in paths:
                 outcome = outcomes[path]
                 if outcome.crash is not None:
@@ -291,10 +311,12 @@ class AssessmentPipeline:
                                      error=str(outcome.error))
                 else:
                     parsed.inc()
-                    units.append(outcome.unit)
+                    units.append(outcome.summary)
+                    if outcome.unit is not None:
+                        fresh_units[path] = outcome.unit
             parse_span.set("files", len(sources))
             parse_span.set("failures", len(unparseable))
-        return units, unparseable
+        return units, fresh_units, unparseable
 
     def _parse_pending(self, paths: List[str],
                        sources: Mapping[str, str],
@@ -329,7 +351,7 @@ class AssessmentPipeline:
                         outcomes.append(ParseOutcome(path, crash=make_crash(
                             "parse", "parse", error, path=path)))
                     else:
-                        outcomes.append(ParseOutcome(path, unit=unit))
+                        outcomes.append(summarized(path, unit))
                 if tracer.enabled:
                     timings.observe(span.duration)
             return outcomes, set()
@@ -406,9 +428,9 @@ class AssessmentPipeline:
     # stage 2: metrics
 
     def _measure_modules(self, sources: Mapping[str, str],
-                         units: List[TranslationUnit]
+                         units: List[UnitSummary]
                          ) -> List[ModuleMetrics]:
-        by_module: Dict[str, List[TranslationUnit]] = {}
+        by_module: Dict[str, List[UnitSummary]] = {}
         for unit in units:
             module = self.config.module_of(unit.filename)
             by_module.setdefault(module, []).append(unit)
@@ -447,27 +469,31 @@ class AssessmentPipeline:
         return checkers
 
     def _run_checkers(self, sources: Mapping[str, str],
-                      units: List[TranslationUnit]
+                      units: List[UnitSummary],
+                      fresh: Dict[str, TranslationUnit]
                       ) -> Dict[str, CheckerReport]:
         checkers = self._checkers(sources)
         with self.tracer.span("checkers") as checkers_span:
-            return self._run_checkers_engine(checkers, units, sources,
-                                             checkers_span)
+            return self._run_checkers_engine(checkers, units, fresh,
+                                             sources, checkers_span)
 
     def _run_checkers_engine(self, checkers: List[Checker],
-                             units: List[TranslationUnit],
+                             units: List[UnitSummary],
+                             fresh: Dict[str, TranslationUnit],
                              sources: Mapping[str, str],
                              checkers_span: Span
                              ) -> Dict[str, CheckerReport]:
         """The checker stage: serial, fanned out, or cache-assisted.
 
         Per-unit checkers are replayed from individual per-unit
-        reports — gathered from the cache, computed inline by the fused
-        single-sweep engine, or fanned out to workers — merged in
-        sorted-unit order and handed to each checker's
-        ``finish_from_units`` (for most, exactly the base
+        reports — gathered from the cache, or computed by the fused
+        single-sweep engine over full units (inline or fanned out to
+        workers) — merged in sorted-unit order and handed to each
+        checker's ``finish_from_units`` (for most, exactly the base
         ``check_project``: merge + finalize).  Project-level checkers
-        run serially over all units, as always.
+        run serially over all units, as always.  Both read the unit
+        summaries; the sweep's full units come from ``fresh`` (this
+        run's parses) or are re-parsed.
         """
         tracer = self.tracer
         cache = self.config.cache
@@ -477,10 +503,10 @@ class AssessmentPipeline:
                               for checker in per_unit)
 
         bundles: Dict[str, Dict[str, CheckerReport]] = {}
-        pending: List[TranslationUnit] = []
+        pending: List[str] = []
         key_by_path: Dict[str, str] = {}
         if cache is None:
-            pending = units
+            pending = [unit.filename for unit in units]
         else:
             hits = tracer.metrics.counter("cache.hits", stage="check")
             misses = tracer.metrics.counter("cache.misses", stage="check")
@@ -491,20 +517,21 @@ class AssessmentPipeline:
                 value = cache.get(key)
                 if value is CACHE_MISS:
                     misses.inc()
-                    pending.append(unit)
+                    pending.append(unit.filename)
                     key_by_path[unit.filename] = key
                 else:
                     hits.inc()
                     bundles[unit.filename] = value
-        fresh, persisted = self._check_pending(pending, per_unit,
-                                               checkers_span, key_by_path)
+        checked, persisted = self._check_pending(
+            [self._full_unit(path, fresh, sources) for path in pending],
+            per_unit, checkers_span, key_by_path)
         if cache is not None:
-            for path, bundle in fresh.items():
+            for path, bundle in checked.items():
                 # Crashed bundles are never cached (see bundle_has_crash);
                 # worker-persisted ones are not written twice.
                 if not bundle_has_crash(bundle) and path not in persisted:
                     cache.put(key_by_path[path], bundle)
-        bundles.update(fresh)
+        bundles.update(checked)
 
         strict = self.config.strict
         reports: Dict[str, CheckerReport] = {}
@@ -541,6 +568,19 @@ class AssessmentPipeline:
                 report.finding_count)
             reports[checker.name] = report
         return reports
+
+    def _full_unit(self, path: str, fresh: Dict[str, TranslationUnit],
+                   sources: Mapping[str, str]) -> TranslationUnit:
+        """The full unit the sweep needs: this run's parse of ``path``,
+        or — when its parse entry hit but its checker entry missed — a
+        re-parse of its source.  The re-parse is not a parse-cache miss
+        (the cached summary stays valid); it is counted under
+        ``pipeline.units_reparsed``."""
+        unit = fresh.get(path)
+        if unit is None:
+            unit = parse_translation_unit(sources[path], path)
+            self.tracer.metrics.counter("pipeline.units_reparsed").inc()
+        return unit
 
     def _check_pending(self, pending: List[TranslationUnit],
                        per_unit: List[Checker], checkers_span: Span,

@@ -50,8 +50,7 @@ class FunctionLineIndex:
 
 
 def function_line_index(unit) -> FunctionLineIndex:
-    """The unit's line index, built once and memoized on the unit
-    (the same pattern the deviation scan uses)."""
+    """The unit's line index, built once and memoized on the unit."""
     index = getattr(unit, "_function_line_index", None)
     if index is None:
         index = FunctionLineIndex(unit.functions)

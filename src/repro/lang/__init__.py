@@ -25,11 +25,20 @@ from .preprocessor import (
     summarize,
     summarize_tokens,
 )
+from .summary import (
+    ClassSummary,
+    FunctionSummary,
+    UnitSummary,
+    summarize_unit,
+    unit_summaries,
+)
 from .tokens import Token, TokenKind
 
 __all__ = [
     "ClassInfo",
+    "ClassSummary",
     "FunctionInfo",
+    "FunctionSummary",
     "GlobalVariable",
     "Include",
     "Lexer",
@@ -39,9 +48,12 @@ __all__ = [
     "Token",
     "TokenKind",
     "TranslationUnit",
+    "UnitSummary",
     "code_tokens",
     "parse_translation_unit",
     "summarize",
     "summarize_tokens",
+    "summarize_unit",
     "tokenize",
+    "unit_summaries",
 ]

@@ -9,7 +9,9 @@ genuinely ambiguous corners of C++ (which it resolves the way a metric tool
 would: conservatively).
 
 The produced :class:`TranslationUnit` is the substrate for every metric and
-checker in :mod:`repro.metrics` and :mod:`repro.checkers`.
+checker in :mod:`repro.metrics` and :mod:`repro.checkers`; its compact
+:class:`~repro.lang.summary.UnitSummary` is what outlives the per-file
+stages (see :mod:`repro.lang.summary`).
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from ..rules.deviations import DeviationIndex, scan_deviations
 from . import preprocessor as _preprocessor
 from .lexer import tokenize
+from .lines import LineCounts, count_lines
 from .tokens import CUDA_KEYWORDS, Token, TokenKind
 
 #: Keywords that open a decision point for cyclomatic complexity, matching
@@ -194,6 +198,11 @@ class TranslationUnit:
     globals: List[GlobalVariable]
     preprocessor: _preprocessor.PreprocessorSummary
     line_count: int
+    #: Line counts of the source (Figure 3's LOC), counted once at build.
+    lines: LineCounts
+    #: Inline ``DEVIATION(...)`` declarations, scanned once at build
+    #: from the comment tokens (see :mod:`repro.rules.deviations`).
+    deviations: DeviationIndex
 
     def function(self, name: str) -> FunctionInfo:
         """Look up a function by bare or qualified name."""
@@ -261,6 +270,8 @@ class CppModelBuilder:
             globals=self.globals,
             preprocessor=_preprocessor.summarize_tokens(self.tokens),
             line_count=line_count,
+            lines=count_lines(self.source, self.tokens),
+            deviations=scan_deviations(self.tokens, self.filename),
         )
 
     # ------------------------------------------------------------------

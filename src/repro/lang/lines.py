@@ -2,7 +2,9 @@
 
 These feed Figure 3 (LOC per module) and the architectural-design size
 checks (Table 3 item 2: "Main modules of Apollo have from 5k to 60k lines
-of code").
+of code").  They live beside the lexer because each file's lines are
+counted once, while its :class:`~repro.lang.cppmodel.TranslationUnit`
+is built: the token stream is at hand there and nowhere later.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Set
 
-from ..lang.tokens import Token, TokenKind
+from .tokens import Token, TokenKind
 
 
 @dataclass(frozen=True)

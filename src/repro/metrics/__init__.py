@@ -27,7 +27,7 @@ from .complexity import (
     summarize_unit,
     summarize_units,
 )
-from .loc import EMPTY_LINE_COUNTS, LineCounts, count_lines
+from ..lang.lines import EMPTY_LINE_COUNTS, LineCounts, count_lines
 from .report import (
     ModuleMetrics,
     figure3_rows,

@@ -10,13 +10,14 @@ each complexity threshold (bars).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
 from ..lang.cppmodel import TranslationUnit
+from ..lang.lines import EMPTY_LINE_COUNTS, LineCounts
+from ..lang.summary import UnitSummary, unit_summaries
 from ..obs import NULL_TRACER
 from .bands import FIGURE3_THRESHOLDS
 from .complexity import ComplexitySummary, summarize_units
-from .loc import EMPTY_LINE_COUNTS, LineCounts, count_lines
 
 
 @dataclass
@@ -49,25 +50,28 @@ class ModuleMetrics:
 
 def measure_module(name: str,
                    sources: Mapping[str, str],
-                   units: Iterable[TranslationUnit],
+                   units: Iterable[Union[TranslationUnit, UnitSummary]],
                    tracer=None) -> ModuleMetrics:
     """Aggregate metrics for one module.
 
     Args:
         name: module name (e.g. ``"perception"``).
-        sources: filename -> source text, for line counting.
-        units: the parsed fuzzy models of the same files.
+        sources: filename -> source text of the module's files.  Line
+            counts come from each file's summary, counted when the file
+            was parsed, so this mapping is no longer read.
+        units: the per-file summaries (:class:`~repro.lang.summary.
+            UnitSummary`) of the module's files, or their full parsed
+            models, which are summarized first.
         tracer: optional :class:`~repro.obs.Tracer`; measurement is
             wrapped in a ``measure_module`` span carrying file and LOC
             counts.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    units = list(units)
+    units = unit_summaries(units)
     with tracer.span("measure_module", module=name) as span:
         lines = EMPTY_LINE_COUNTS
         for unit in units:
-            source = sources.get(unit.filename, "")
-            lines = lines + count_lines(source, unit.tokens)
+            lines = lines + unit.lines
         metrics = ModuleMetrics(
             name=name,
             lines=lines,

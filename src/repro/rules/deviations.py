@@ -14,9 +14,12 @@ rationale suppresses nothing and is itself a finding
 (:data:`~repro.rules.registry.MISSING_RATIONALE`), as is one naming an
 unregistered rule (:data:`~repro.rules.registry.UNKNOWN_RULE`).
 
-Deviation scanning happens on :attr:`TranslationUnit.tokens`, where
-comments survive lexing, so it works identically on freshly parsed,
-cached, and process-pool-shipped units.
+Deviations are scanned once per file, from the comment tokens of
+:attr:`TranslationUnit.tokens` (where comments survive lexing), while
+the unit is built; the index lands in :attr:`TranslationUnit.deviations`
+and in the file's token-free :class:`~repro.lang.summary.UnitSummary`,
+so freshly parsed units, process-pool-shipped units and cached
+summaries all route findings identically.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ..core.cache import MemoryCache, ResultCache
 from ..core.config import PipelineConfig
@@ -137,6 +137,9 @@ class AssessmentServer:
         #: Latest and previous assessment per root (the diff operands).
         self.results: Dict[str, Any] = {}
         self.previous: Dict[str, Any] = {}
+        #: Memory-cache keys each root's latest assessment touched; the
+        #: union is what :meth:`MemoryCache.retain` keeps.
+        self.live_keys: Dict[str, Set[str]] = {}
         self.closing = False
         self.started = time.monotonic()
         self.requests = 0
@@ -316,10 +319,16 @@ class AssessmentServer:
             tracer = (Tracer()
                       if self.store is not None
                       or self.ledger_dir is not None else None)
+            memory = isinstance(self.cache, MemoryCache)
+            if memory:
+                # collect exactly the keys this assessment touches
+                self.cache.referenced.clear()
             delta = _CacheDelta(self.cache)
             start = time.perf_counter()
             result = AssessmentPipeline(self._config(tracer)).run(sources)
             duration = time.perf_counter() - start
+            if memory:
+                self._retain_live(root)
             self.assessments += 1
             self.previous[root] = self.results.get(root)
             self.results[root] = result
@@ -348,6 +357,14 @@ class AssessmentServer:
             if run_id is not None:
                 reply["run"] = run_id
             return reply
+
+    def _retain_live(self, root: str) -> None:
+        """Drop the memory-cache entries no root's latest assessment
+        touched (an edited file's superseded parse and checker entries),
+        so the daemon's memory follows its trees, not their edit
+        history."""
+        self.live_keys[root] = set(self.cache.referenced)
+        self.cache.retain(set().union(*self.live_keys.values()))
 
     def _verb_assess(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return self.assess(self._root_for(request),

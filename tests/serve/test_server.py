@@ -235,6 +235,46 @@ class TestOtherVerbs:
         assert reply["roots"][os.path.abspath(tree)]["files"] == 2
 
 
+class TestMemoryCacheRetention:
+    @staticmethod
+    def edit(tree, relative, text, stamp):
+        path = write(tree, relative, text)
+        # distinct mtimes, however fast the edits come
+        os.utime(path, ns=(stamp * 10**9, stamp * 10**9))
+
+    def test_edits_do_not_grow_the_cache(self, tree):
+        """Each edit supersedes one parse and one checker entry; the
+        daemon keeps only what the latest assessment touched."""
+        server = AssessmentServer(tree)
+        first = assess(server)
+        files = first["files"]
+        assert len(server.cache) == 2 * files
+        for index in range(50):
+            self.edit(tree, "clean.cpp",
+                      CLEAN + f"int edit_{index} = {index};\n", index + 1)
+            reply = assess(server)
+            assert reply["cache"]["misses"] == 2
+            assert len(server.cache) == 2 * files
+            assert server.cache.referenced <= set(server.cache._entries)
+            noop = assess(server)
+            assert noop["cache"]["misses"] == 0
+            assert noop["cache"]["puts"] == 0
+
+    def test_entries_of_every_root_survive(self, tree, tmp_path):
+        other = tmp_path / "other"
+        other.mkdir()
+        write(other, "only.cpp", GOTO)
+        server = AssessmentServer(tree)
+        assess(server)
+        assess(server, path=str(other))
+        assert len(server.cache) == 2 * 3
+        self.edit(tree, "clean.cpp", GOTO + CLEAN, 1)
+        assess(server)
+        assert len(server.cache) == 2 * 3
+        again = assess(server, path=str(other))
+        assert again["cache"]["misses"] == 0
+
+
 class TestStoreBackedServing:
     def test_each_assess_appends_a_run_record(self, tree, tmp_path):
         store = Store(str(tmp_path / "store"))
