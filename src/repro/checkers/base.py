@@ -395,8 +395,9 @@ class Checker(abc.ABC):
         return (f"{type(self).__module__}.{type(self).__qualname__}"
                 f":{self.version}{suffix}")
 
-    def for_units(self, units: Iterable[TranslationUnit]) -> "Checker":
-        """A checker equivalent to ``self`` for checking exactly ``units``.
+    def for_paths(self, paths: Iterable[str]) -> "Checker":
+        """A checker equivalent to ``self`` for checking exactly the
+        files at ``paths``.
 
         Stateless checkers (the default) return ``self``.  Checkers
         holding per-file state (:class:`~repro.checkers.style.

@@ -59,14 +59,14 @@ class StyleChecker(Checker):
         """Register the raw text of a file before checking its unit."""
         self._sources[filename] = source
 
-    def for_units(self, units) -> "StyleChecker":
-        """A copy carrying only the sources of ``units`` (see base)."""
+    def for_paths(self, paths) -> "StyleChecker":
+        """A copy carrying only the sources of ``paths`` (see base)."""
         pruned = StyleChecker(self.config)
         pruned.profile = self.profile
-        for unit in units:
-            source = self._sources.get(unit.filename)
+        for path in paths:
+            source = self._sources.get(path)
             if source is not None:
-                pruned.add_source(unit.filename, source)
+                pruned.add_source(path, source)
         return pruned
 
     def check_unit(self, unit: TranslationUnit) -> CheckerReport:

@@ -41,7 +41,8 @@ class PipelineConfig:
             exactly as worker traces are grafted.
         jobs: worker count for the parse and per-unit checker fan-out;
             1 (the default) is the fully serial path, 0 means one
-            worker per CPU.  Results are identical at any setting.
+            worker per CPU this process may run on.  Results are
+            identical at any setting.
         executor: pool flavor for ``jobs > 1`` — ``"thread"`` (no
             pickling, GIL-bound) or ``"process"`` (true CPU
             parallelism; payloads cross process boundaries).

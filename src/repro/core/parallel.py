@@ -1,43 +1,45 @@
 """Parallel execution engine for the assessment pipeline.
 
-The pipeline's two hot stages — per-file parsing and per-unit checking
-— are embarrassingly parallel, so this module fans them out over a
-``concurrent.futures`` pool.  The contract, relied on by the
-determinism tests, is that a parallel run is *result-identical* to the
-serial run:
+The pipeline's per-file work — parse, summarize, and sweep the per-unit
+checkers — is embarrassingly parallel, so this module runs it as one
+task per file batch (:func:`run_parse_task`) over a
+``concurrent.futures`` pool, or inline when serial: the same task
+function either way.  The contract, relied on by the determinism
+tests, is that a parallel run is *result-identical* to the serial run:
 
-* work is chunked from the already-sorted unit list and results are
+* work is chunked from the already-sorted path list and results are
   reassembled in that order, so checker reports merge in exactly the
   serial order;
 * only checkers whose project report can be replayed from per-unit
   reports — the default per-unit
   :meth:`~repro.checkers.base.Checker.check_project`, or an explicit
   :meth:`~repro.checkers.base.Checker.finish_from_units` override (unit
-  design) — are fanned out; genuinely project-level checkers
+  design) — are swept in the task; genuinely project-level checkers
   (architecture) see all units at once, exactly as in a serial run.
 
-Per-unit chunks run through the fused single-sweep engine
+Each unit is swept by the fused single-sweep engine
 (:func:`repro.engine.driver.fused_unit_bundle`): one token walk per
 unit dispatches to every registered checker, byte-identical to running
-each checker's ``check_unit`` in sequence.
+each checker's ``check_unit`` in sequence.  The full
+:class:`TranslationUnit` is dropped right after its sweep; a task
+returns only the token-free :class:`ParseOutcome` (the file's compact
+:class:`~repro.lang.summary.UnitSummary`, which is also what the
+result cache keeps) and the per-unit checker reports, so no unit ever
+crosses a process boundary or outlives its own sweep.
 
-Each worker chunk runs under its own :class:`~repro.obs.Tracer` (the
-shared tracer's span stack is not thread-safe); the resulting span
-forest and metrics are grafted back into the parent trace by
-:func:`graft_worker_trace`, so ``--trace`` shows one ``parse_worker`` /
-``checker_worker`` span per chunk with real per-file child spans.
-Structured log events follow the same fan-in: worker chunks record
-into a picklable :class:`~repro.obs.BufferLog` shipped back with the
-results, and the parent replays it via
-:meth:`~repro.obs.EventLog.graft` with the worker index stamped on
-every event.
+Each task runs under its own :class:`~repro.obs.Tracer` (the shared
+tracer's span stack is not thread-safe); the resulting span forest and
+metrics are grafted back into the parent trace by
+:func:`graft_worker_trace`, so ``--trace`` shows one ``parse_worker``
+span per chunk with real per-file child spans.  Structured log events
+follow the same fan-in: tasks record into a picklable
+:class:`~repro.obs.BufferLog` shipped back with the results, and the
+parent replays it via :meth:`~repro.obs.EventLog.graft` with the
+worker index stamped on every event.
 
-Worker task functions are module-level so the ``process`` executor can
-pickle them; every payload (tasks, parse outcomes, checker reports,
-worker tracers) is plain-dataclass picklable.  A parse outcome carries
-the file's compact :class:`~repro.lang.summary.UnitSummary`, which is
-what the result cache keeps; the full :class:`TranslationUnit` rides
-along only to this run's check stage (see :class:`ParseOutcome`).
+Task functions are module-level so the ``process`` executor can pickle
+them; every payload (tasks, parse outcomes, checker reports, worker
+tracers) is plain-dataclass picklable.
 
 The engine is additionally *fault-isolated* (see :func:`run_tasks` and
 :func:`check_unit_bundle`): a dead or hung worker costs one serial
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import os
 from concurrent import futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..checkers.base import (
@@ -73,12 +75,18 @@ from ..store.objects import ObjectStore
 #: processes.
 EXECUTOR_KINDS = ("thread", "process")
 
+#: One file's per-unit checker reports, ``{checker name: report}``.
+Bundle = Dict[str, CheckerReport]
+
 
 def worker_count(jobs: int) -> int:
-    """Resolve a ``jobs`` setting: 0 means one worker per CPU."""
+    """Resolve a ``jobs`` setting: 0 means one worker per CPU this
+    process may run on (its affinity set, where the platform has one)."""
     if jobs < 0:
         raise ConfigError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     return jobs
 
@@ -200,7 +208,7 @@ def run_tasks(function: Callable, tasks: Sequence, *, jobs: int,
 
 
 # ----------------------------------------------------------------------
-# parse fan-out
+# the per-file task: parse, summarize, sweep
 
 
 @dataclass
@@ -208,9 +216,9 @@ class ParseOutcome:
     """What parsing one file produced: a unit summary, a parse error, or
     a contained parser-internal crash.
 
-    This is the ``PARSE_TAG`` cache entry, so it stays token-free: the
-    full model of a freshly parsed file travels in :attr:`unit` only as
-    far as this run's check stage, and :meth:`cacheable` drops it.
+    This is the ``PARSE_TAG`` cache entry, and it is token-free: the
+    full model behind :attr:`summary` never leaves the task that parsed
+    and swept it.
     """
 
     path: str
@@ -220,154 +228,158 @@ class ParseOutcome:
     #: the run is strict); the file counts as unparseable and the run
     #: as degraded.
     crash: Optional[CheckerCrash] = None
-    #: The full model behind :attr:`summary`, set only on a fresh parse
-    #: (never on a cache hit): the per-unit checker sweep needs it.
-    unit: Optional[TranslationUnit] = field(default=None, repr=False,
-                                            compare=False)
-
-    def cacheable(self) -> "ParseOutcome":
-        """This outcome as the cache stores it: without :attr:`unit`."""
-        return replace(self, unit=None) if self.unit is not None else self
-
-
-def summarized(path: str, unit: TranslationUnit) -> ParseOutcome:
-    """The outcome of a successful parse: summarized right away."""
-    return ParseOutcome(path, summary=summarize_unit(unit), unit=unit)
 
 
 @dataclass
 class ParseTask:
-    """One worker's share of the parse stage."""
+    """One worker's share of the per-file stage: every item is parsed,
+    summarized and — when it parses — swept by ``checkers``."""
 
     items: List[Tuple[str, str]]
     worker: int
+    #: The per-unit checkers, pruned to this chunk's files with
+    #: :meth:`~repro.checkers.base.Checker.for_paths`.
+    checkers: List[Checker] = field(default_factory=list)
     traced: bool = False
-    #: Re-raise parser-internal errors instead of containing them.
+    #: Re-raise parser and checker crashes instead of containing them.
     strict: bool = False
     #: Record structured events into a shipped-back worker buffer.
     logged: bool = False
     #: Store-backed fan-out: with both set, the worker persists each
-    #: non-crashed outcome itself, into a private object area the
-    #: parent absorbs on join (no second pickling in the parent, and a
-    #: killed run leaves mergeable shards behind).  ``cache_keys``
-    #: aligns with ``items``.
-    cache_keys: Optional[List[str]] = None
+    #: non-crashed result itself, into a private object area the parent
+    #: absorbs on join (no second pickling in the parent, and a killed
+    #: run leaves mergeable shards behind).  ``cache_keys`` holds the
+    #: parse keys — ``None`` where the parse entry is already cached
+    #: and the item is re-parsed only for its sweep — and
+    #: ``check_keys`` the checker-bundle keys, both aligned with
+    #: ``items``.
+    cache_keys: Optional[List[Optional[str]]] = None
+    check_keys: Optional[List[str]] = None
     shard_dir: Optional[str] = None
 
 
 def parse_one(path: str, source: str, strict: bool = False
-              ) -> ParseOutcome:
-    """Parse one file into an outcome, containing both failure modes.
+              ) -> Tuple[ParseOutcome, Optional[TranslationUnit]]:
+    """Parse and summarize one file, containing both failure modes.
 
-    An expected :class:`SourceError` (malformed input) lands in
-    ``error``; any other exception is a parser bug, contained as a
-    ``crash`` record unless ``strict``.
+    Returns the outcome and, when the file parsed, its full unit for
+    the sweep.  An expected :class:`SourceError` (malformed input)
+    lands in ``error``; any other exception is a parser bug, contained
+    as a ``crash`` record unless ``strict``.
     """
     try:
         unit = parse_translation_unit(source, path)
     except SourceError as error:
-        return ParseOutcome(path, error=error)
+        return ParseOutcome(path, error=error), None
     except Exception as error:
         if strict:
             raise
         return ParseOutcome(path, crash=make_crash(
-            "parse", "parse", error, path=path))
-    return summarized(path, unit)
+            "parse", "parse", error, path=path)), None
+    return ParseOutcome(path, summary=summarize_unit(unit)), unit
 
 
-def run_parse_task(task: ParseTask
-                   ) -> Tuple[List[ParseOutcome], Optional[Tracer],
-                              Optional[List[Dict]]]:
-    """Parse one chunk of ``(path, source)`` pairs, catching per-file
-    :class:`SourceError` (and, unless strict, parser-internal crashes)
-    so a poisoned file never kills the pool.
-
-    Returns ``(outcomes, worker tracer or None, worker events or
-    None)``; the parent grafts the latter two back into its own trace
-    and event log.
-    """
+def _worker_context(task) -> Tuple[Tracer, EventLog,
+                                   Optional[ObjectStore]]:
+    """A task's own tracer, event buffer and shard area (if armed)."""
     tracer = Tracer() if task.traced else NULL_TRACER
     log = BufferLog(worker=task.worker) if task.logged else NULL_LOG
-    timings = tracer.metrics.histogram("pipeline.parse_seconds")
     area = (ObjectStore(task.shard_dir)
             if task.shard_dir is not None and task.cache_keys is not None
             else None)
+    return tracer, log, area
+
+
+def _sweep_one(task, unit: TranslationUnit, log: EventLog,
+               area: Optional[ObjectStore], keys: Optional[List[str]],
+               index: int) -> Bundle:
+    """One unit's per-unit reports from a single fused sweep, persisted
+    under ``keys[index]`` when the task's shard area is armed."""
+    bundle = fused_unit_bundle(task.checkers, unit, strict=task.strict,
+                               log=log)
+    # Crashed bundles are never cached (see bundle_has_crash).
+    if area is not None and not bundle_has_crash(bundle):
+        area.put(keys[index], bundle)
+    return bundle
+
+
+def run_parse_task(task: ParseTask
+                   ) -> Tuple[List[ParseOutcome],
+                              Dict[str, Bundle],
+                              Optional[Tracer], Optional[List[Dict]]]:
+    """Parse, summarize and sweep one chunk of ``(path, source)`` pairs.
+
+    Per-file :class:`SourceError`\\ s (and, unless strict, parser and
+    checker crashes) are contained, so a poisoned file never kills the
+    pool.  Each full unit is dropped as soon as its sweep is done: only
+    token-free results leave the task.
+
+    Returns ``(outcomes, {path: {checker name: per-unit report}},
+    worker tracer or None, worker events or None)``; the parent grafts
+    the last two back into its own trace and event log.
+    """
+    tracer, log, area = _worker_context(task)
+    timings = tracer.metrics.histogram("pipeline.parse_seconds")
     outcomes: List[ParseOutcome] = []
+    bundles: Dict[str, Bundle] = {}
     with tracer.span("parse_worker", worker=task.worker) as worker_span:
-        failures = 0
         for index, (path, source) in enumerate(task.items):
             with tracer.span("parse_file", path=path) as span:
-                outcome = parse_one(path, source, strict=task.strict)
-                if outcome.summary is None:
+                outcome, unit = parse_one(path, source, strict=task.strict)
+                if unit is None:
                     span.set("failed", 1)
-                    failures += 1
-                outcomes.append(outcome)
-                # Contained parser crashes are never cached: the fault
-                # may be transient, and strict runs must reproduce it.
-                if area is not None and outcome.crash is None:
-                    area.put(task.cache_keys[index], outcome.cacheable())
             if tracer.enabled:
                 timings.observe(span.duration)
+            outcomes.append(outcome)
+            # Contained parser crashes are never cached: the fault may
+            # be transient, and strict runs must reproduce it.
+            if (area is not None and outcome.crash is None
+                    and task.cache_keys[index] is not None):
+                area.put(task.cache_keys[index], outcome)
+            if unit is not None:
+                bundles[path] = _sweep_one(task, unit, log, area,
+                                           task.check_keys, index)
+            unit = None  # drop the full unit before the next parse
+        failures = len(outcomes) - len(bundles)
         worker_span.set("files", len(task.items))
         worker_span.set("failures", failures)
+        worker_span.set("units", len(bundles))
+        log.debug("worker.check", units=len(bundles),
+                  checkers=len(task.checkers))
         log.debug("worker.parse", files=len(task.items),
                   failures=failures)
-    return (outcomes, tracer if task.traced else None,
+    return (outcomes, bundles, tracer if task.traced else None,
             log.events if task.logged else None)
-
-
-# ----------------------------------------------------------------------
-# per-unit checker fan-out
 
 
 @dataclass
 class CheckTask:
-    """One worker's share of the per-unit checker stage.
-
-    ``checkers`` are already pruned with
-    :meth:`~repro.checkers.base.Checker.for_units`, so a process task
-    ships only the per-file state its own units need.
+    """A sweep-only task over already-parsed units, for callers that
+    hold full units themselves; the pipeline's one task is
+    :class:`ParseTask`.  ``cache_keys`` aligns with ``units``.
     """
 
     checkers: List[Checker]
     units: List[TranslationUnit]
     worker: int
     traced: bool = False
-    #: Re-raise checker crashes instead of containing them per unit.
     strict: bool = False
-    #: Record structured events into a shipped-back worker buffer.
     logged: bool = False
-    #: Store-backed fan-out, exactly as on :class:`ParseTask`;
-    #: ``cache_keys`` aligns with ``units``.
     cache_keys: Optional[List[str]] = None
     shard_dir: Optional[str] = None
 
 
 def run_check_task(task: CheckTask
-                   ) -> Tuple[Dict[str, Dict[str, CheckerReport]],
+                   ) -> Tuple[Dict[str, Bundle],
                               Optional[Tracer], Optional[List[Dict]]]:
-    """Run every per-unit checker over one chunk of units.
-
-    Returns ``({path: {checker name: per-unit report}}, worker tracer
-    or None, worker events or None)`` — the raw reports the parent
-    merges in sorted-unit order and finalizes once, mirroring the
-    default ``check_project`` exactly.  Each unit is swept once by the
-    fused engine rather than once per checker.
-    """
-    tracer = Tracer() if task.traced else NULL_TRACER
-    log = BufferLog(worker=task.worker) if task.logged else NULL_LOG
-    area = (ObjectStore(task.shard_dir)
-            if task.shard_dir is not None and task.cache_keys is not None
-            else None)
-    bundles: Dict[str, Dict[str, CheckerReport]] = {}
+    """Sweep one chunk of units: ``({path: {checker name: per-unit
+    report}}, worker tracer or None, worker events or None)``."""
+    tracer, log, area = _worker_context(task)
+    bundles: Dict[str, Bundle] = {}
     with tracer.span("checker_worker", worker=task.worker) as span:
         for index, unit in enumerate(task.units):
-            bundle = fused_unit_bundle(
-                task.checkers, unit, strict=task.strict, log=log)
-            bundles[unit.filename] = bundle
-            # Crashed bundles are never cached (see bundle_has_crash).
-            if area is not None and not bundle_has_crash(bundle):
-                area.put(task.cache_keys[index], bundle)
+            bundles[unit.filename] = _sweep_one(task, unit, log, area,
+                                                task.cache_keys, index)
         span.set("units", len(task.units))
         span.set("checkers", len(task.checkers))
         log.debug("worker.check", units=len(task.units),

@@ -9,23 +9,26 @@ This orchestrates the paper's whole methodology:
 5. apply the compliance engine to the three ISO 26262-6 tables;
 6. derive the numbered observations.
 
-The two per-file stages (1 and 3) run through the execution engine in
-:mod:`repro.core.parallel`: with :attr:`PipelineConfig.jobs` > 1 they
-fan out over a thread or process pool, and with a
-:attr:`PipelineConfig.cache` configured, unchanged files short-circuit
-to content-addressed cached results (:mod:`repro.core.cache`).  Either
-way the produced :class:`AssessmentResult` is identical to a serial,
-cold-cache run: chunks are cut from the sorted path list and merged
-back in that order, and only checkers whose project report is a pure
-per-unit merge are distributed.
+The per-file work of stages 1 and 3 — parse, summarize, and sweep the
+per-unit checkers — is one task of the execution engine in
+:mod:`repro.core.parallel`, run inline when serial and fanned out over
+a thread or process pool when :attr:`PipelineConfig.jobs` > 1.  With a
+:attr:`PipelineConfig.cache` configured, both cache entries of every
+file are looked up before dispatch, and only the files they do not
+settle are handed to the one fan-out.  Either way the produced
+:class:`AssessmentResult` is identical to a serial, cold-cache run:
+chunks are cut from the sorted path list and merged back in that
+order, and only checkers whose project report is a pure per-unit merge
+are swept in the task.
 
-Full :class:`~repro.lang.cppmodel.TranslationUnit` models live only
-between a file's parse and its checker sweep.  Every later stage —
-metrics, the checkers' project-level finish, the project-level checkers
-— reads the compact :class:`~repro.lang.summary.UnitSummary` taken
-right after parsing, and that summary is what the parse cache entry
-holds.  A file whose parse entry hits but whose checker entry misses (a
-changed profile or checker) is re-parsed from its source for the sweep.
+A full :class:`~repro.lang.cppmodel.TranslationUnit` lives only inside
+the task that parses and sweeps it, one file at a time.  Every later
+stage — metrics, the checkers' project-level finish, the project-level
+checkers — reads the compact :class:`~repro.lang.summary.UnitSummary`
+taken right after parsing, and that summary is what the parse cache
+entry holds.  A file whose parse entry hits but whose checker entry
+misses (a changed profile or checker) is re-parsed in the task for its
+sweep.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import gc
 import os
 import shutil
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..checkers.architecture import ArchitectureChecker
 from ..checkers.base import (
@@ -52,12 +55,12 @@ from ..checkers.misra import MisraChecker
 from ..checkers.naming import NamingChecker
 from ..checkers.style import StyleChecker
 from ..checkers.unitdesign import UnitDesignChecker
-from ..errors import ConfigError, ReproError, SourceError
+from ..errors import ConfigError, ReproError
 from ..iso26262.compliance import ComplianceEngine
 from ..iso26262.evidence import EvidenceSet
 from ..iso26262.observations import generate_observations
-from ..engine.driver import fused_unit_bundle
-from ..lang.cppmodel import TranslationUnit, parse_translation_unit
+# Re-exported only: files are parsed inside the tasks of .parallel.
+from ..lang.cppmodel import parse_translation_unit  # noqa: F401
 from ..lang.summary import UnitSummary
 from ..metrics.report import ModuleMetrics, measure_module
 from ..obs import NULL_LOG, NULL_TRACER, EventLog, Span, Tracer
@@ -67,17 +70,15 @@ from .cache import CACHE_MISS, CHECK_TAG, PARSE_TAG
 from .config import PipelineConfig
 from .parallel import (
     EXECUTOR_KINDS,
-    CheckTask,
+    Bundle,
     ParseOutcome,
     ParseTask,
     bundle_has_crash,
     chunk_evenly,
     graft_worker_trace,
-    run_check_task,
     run_parse_task,
     run_tasks,
     split_checkers,
-    summarized,
     worker_count,
 )
 
@@ -124,11 +125,10 @@ class AssessmentPipeline:
 
     When :attr:`PipelineConfig.tracer` is set, every stage is traced:
     a ``pipeline`` root span with ``parse`` (one ``parse_file`` child
-    per translation unit, grouped under ``parse_worker`` spans when
-    ``jobs > 1``), ``metrics`` (one ``measure_module`` child per
-    module), ``checkers`` (one ``checker`` child per checker, with its
-    finding count, plus ``checker_worker`` chunk spans when fanned
-    out), ``evidence``, ``compliance``, and ``observations`` children —
+    per translation unit, grouped under one ``parse_worker`` span per
+    task), ``metrics`` (one ``measure_module`` child per module),
+    ``checkers`` (one ``checker`` child per checker, with its finding
+    count), ``evidence``, ``compliance``, and ``observations`` children —
     plus counters for units parsed, parse failures, findings per
     checker, and cache hits/misses per stage.  The default is the
     no-op NULL_TRACER.
@@ -198,10 +198,13 @@ class AssessmentPipeline:
     def _run(self, sources: Mapping[str, str],
              crashes: List[CheckerCrash], tracer, log) -> AssessmentResult:
         with tracer.span("pipeline") as root:
-            units, fresh, unparseable = self._parse_all(sources, crashes)
+            checkers = self._checkers(sources)
+            per_unit, _ = split_checkers(checkers)
+            units, bundles, unparseable = self._parse_all(
+                sources, per_unit, crashes)
             modules = self._measure_modules(sources, units)
-            reports = self._run_checkers(sources, units, fresh)
-            del fresh  # the full units: nothing past the sweep needs them
+            reports = self._run_checkers(checkers, per_unit, units,
+                                         bundles)
             for name in reports:
                 crashes.extend(reports[name].crashes)
             if crashes:
@@ -240,17 +243,20 @@ class AssessmentPipeline:
         )
 
     # ------------------------------------------------------------------
-    # stage 1: parse
+    # stage 1: parse, summarize, and sweep the per-unit checkers
 
     def _parse_all(self, sources: Mapping[str, str],
-                   crashes: List[CheckerCrash]
-                   ) -> Tuple[List[UnitSummary], Dict[str, TranslationUnit],
+                   per_unit: List[Checker], crashes: List[CheckerCrash]
+                   ) -> Tuple[List[UnitSummary], Dict[str, Bundle],
                               List[str]]:
-        """Parse stage: ``(summaries, fresh full units by path,
-        unparseable paths)``, summaries in sorted path order.
+        """Per-file stage: ``(summaries, per-unit checker bundles by
+        path, unparseable paths)``, summaries in sorted path order.
 
-        Cache hits yield summaries only; the full units of the files
-        parsed in this run are handed on to the check stage.
+        Every file's cache entries are looked up before dispatch; the
+        files they do not settle go to :meth:`_parse_pending`.  A parse
+        hit whose checker entry misses (a changed profile or checker)
+        is re-parsed there for its sweep, counted under
+        ``pipeline.units_reparsed`` rather than as a parse miss.
         """
         tracer = self.tracer
         cache = self.config.cache
@@ -258,39 +264,42 @@ class AssessmentPipeline:
         parsed = metrics.counter("pipeline.units_parsed")
         failed = metrics.counter("pipeline.parse_failures")
         units: List[UnitSummary] = []
-        fresh_units: Dict[str, TranslationUnit] = {}
         unparseable: List[str] = []
         with tracer.span("parse") as parse_span:
             paths = sorted(sources)
             outcomes: Dict[str, ParseOutcome] = {}
+            bundles: Dict[str, Bundle] = {}
             pending: List[str] = []
+            parse_keys: Dict[str, str] = {}  # the parse-missed files
+            check_keys: Dict[str, str] = {}
             if cache is None:
                 pending = paths
             else:
-                hits = metrics.counter("cache.hits", stage="parse")
-                misses = metrics.counter("cache.misses", stage="parse")
+                bundle_tag = "|".join(checker.fingerprint()
+                                      for checker in per_unit)
+                reparsed = metrics.counter("pipeline.units_reparsed")
                 for path in paths:
                     key = cache.key_for(PARSE_TAG, path, sources[path])
-                    value = cache.get(key)
-                    if value is CACHE_MISS:
-                        misses.inc()
-                        pending.append(path)
+                    outcome = self._lookup("parse", key)
+                    if outcome is CACHE_MISS:
+                        parse_keys[path] = key
                     else:
-                        hits.inc()
-                        outcomes[path] = value
-            fresh, persisted = self._parse_pending(pending, sources,
-                                                   parse_span)
-            for outcome in fresh:
-                outcomes[outcome.path] = outcome
-                # Contained parser crashes are never cached: the fault
-                # may be transient, and strict runs must reproduce it.
-                # Outcomes a worker already persisted into its shard
-                # (and the parent absorbed) are not written twice.
-                if (cache is not None and outcome.crash is None
-                        and outcome.path not in persisted):
-                    cache.put(cache.key_for(PARSE_TAG, outcome.path,
-                                            sources[outcome.path]),
-                              outcome.cacheable())
+                        outcomes[path] = outcome
+                for path in paths:
+                    outcome = outcomes.get(path)
+                    if outcome is not None and outcome.summary is None:
+                        continue  # a cached parse failure
+                    check_keys[path] = cache.key_for(
+                        CHECK_TAG, path, sources[path], bundle_tag)
+                    if outcome is not None:
+                        bundle = self._lookup("check", check_keys[path])
+                        if bundle is not CACHE_MISS:
+                            bundles[path] = bundle
+                            continue
+                        reparsed.inc()
+                    pending.append(path)
+            self._parse_pending(pending, sources, per_unit, parse_keys,
+                                check_keys, outcomes, bundles, parse_span)
             for path in paths:
                 outcome = outcomes[path]
                 if outcome.crash is not None:
@@ -312,85 +321,92 @@ class AssessmentPipeline:
                 else:
                     parsed.inc()
                     units.append(outcome.summary)
-                    if outcome.unit is not None:
-                        fresh_units[path] = outcome.unit
             parse_span.set("files", len(sources))
             parse_span.set("failures", len(unparseable))
-        return units, fresh_units, unparseable
+        return units, bundles, unparseable
 
-    def _parse_pending(self, paths: List[str],
-                       sources: Mapping[str, str],
-                       parse_span: Span
-                       ) -> Tuple[List[ParseOutcome], Set[str]]:
-        """Parse the cache-missed files, fanned out when ``jobs > 1``.
+    def _lookup(self, stage: str, key: str):
+        """One cache lookup, counted per stage."""
+        value = self.config.cache.get(key)
+        self.tracer.metrics.counter(
+            "cache.misses" if value is CACHE_MISS else "cache.hits",
+            stage=stage).inc()
+        return value
 
-        Returns ``(outcomes, persisted paths)`` — the second element
-        names the files whose outcomes store-backed workers already
-        wrote (and the parent absorbed), so the caller skips its own
-        put for them.
+    def _parse_pending(self, paths: List[str], sources: Mapping[str, str],
+                       per_unit: List[Checker], parse_keys: Dict[str, str],
+                       check_keys: Dict[str, str],
+                       outcomes: Dict[str, ParseOutcome],
+                       bundles: Dict[str, Bundle], parse_span: Span
+                       ) -> None:
+        """Parse, summarize and sweep ``paths`` in one
+        :func:`run_parse_task` fan-out (a single inline task when
+        serial), filing the results into ``outcomes`` and ``bundles``.
+
+        A parse-missed file's checker entry is looked up only now that
+        the file is known to parse; a hit there wins over the task's
+        bundle.  Results are cached by the parent, or — store-backed
+        and pooled — by the tasks themselves (see
+        :meth:`_worker_shards`).
         """
         if not paths:
-            return [], set()
+            return
         tracer = self.tracer
-        if self.jobs <= 1 or len(paths) <= 1:
-            # Serial path: byte-for-byte the pre-engine behavior (and the
-            # module-global ``parse_translation_unit`` stays patchable).
-            timings = tracer.metrics.histogram("pipeline.parse_seconds")
-            outcomes: List[ParseOutcome] = []
-            for path in paths:
-                with tracer.span("parse_file", path=path) as span:
-                    try:
-                        unit = parse_translation_unit(sources[path], path)
-                    except SourceError as error:
-                        span.set("failed", 1)
-                        outcomes.append(ParseOutcome(path, error=error))
-                    except Exception as error:
-                        if self.config.strict:
-                            raise
-                        span.set("failed", 1)
-                        outcomes.append(ParseOutcome(path, crash=make_crash(
-                            "parse", "parse", error, path=path)))
-                    else:
-                        outcomes.append(summarized(path, unit))
-                if tracer.enabled:
-                    timings.observe(span.duration)
-            return outcomes, set()
         cache = self.config.cache
         tasks = [
             ParseTask(items=[(path, sources[path]) for path in chunk],
-                      worker=index, traced=tracer.enabled,
-                      strict=self.config.strict,
+                      worker=index,
+                      checkers=[checker.for_paths(chunk)
+                                for checker in per_unit],
+                      traced=tracer.enabled, strict=self.config.strict,
                       logged=self.log.enabled)
             for index, chunk in enumerate(chunk_evenly(paths, self.jobs))]
-        shard_dirs = self._worker_shards(
-            tasks, lambda task: [
-                cache.key_for(PARSE_TAG, path, source)
-                for path, source in task.items])
-        outcomes = []
+        shard_dirs = self._worker_shards(tasks, parse_keys, check_keys)
+        writes = cache is not None and not shard_dirs
         # Absorb-or-remove the worker shard areas even when the pool is
         # torn down mid-flight (KeyboardInterrupt, SIGTERM): whatever
         # the workers already persisted folds back into the parent's
         # write area instead of leaking shard-<host>-<pid>-w* dirs.
+        # The checker lookups below precede the absorb, so they never
+        # see what this run's workers wrote.
         try:
-            for chunk_outcomes, worker_tracer, worker_events in run_tasks(
+            for (chunk_outcomes, chunk_bundles, worker_tracer,
+                 worker_events) in run_tasks(
                     run_parse_task, tasks, jobs=self.jobs,
                     executor=self.config.executor,
                     timeout=self.config.task_timeout,
                     metrics=tracer.metrics, log=self.log):
-                outcomes.extend(chunk_outcomes)
                 graft_worker_trace(tracer, parse_span, worker_tracer)
                 self.log.graft(worker_events)
+                for outcome in chunk_outcomes:
+                    # A re-parse for the sweep leaves the cached
+                    # outcome in place.  Contained parser crashes are
+                    # never cached: the fault may be transient, and
+                    # strict runs must reproduce it.
+                    if outcome.path in outcomes:
+                        continue
+                    outcomes[outcome.path] = outcome
+                    if writes and outcome.crash is None:
+                        cache.put(parse_keys[outcome.path], outcome)
+                for path, bundle in chunk_bundles.items():
+                    cached = (self._lookup("check", check_keys[path])
+                              if path in parse_keys else CACHE_MISS)
+                    if cached is not CACHE_MISS:
+                        bundle = cached
+                    elif writes and not bundle_has_crash(bundle):
+                        # Crashed bundles are never cached (see
+                        # bundle_has_crash).
+                        cache.put(check_keys[path], bundle)
+                    bundles[path] = bundle
         finally:
             self._absorb_worker_shards(shard_dirs)
-        if not shard_dirs:
-            return outcomes, set()
-        return outcomes, {outcome.path for outcome in outcomes
-                          if outcome.crash is None}
 
     # ------------------------------------------------------------------
     # store-backed worker fan-out
 
-    def _worker_shards(self, tasks, keys_for) -> List[str]:
+    def _worker_shards(self, tasks: List[ParseTask],
+                       parse_keys: Dict[str, str],
+                       check_keys: Dict[str, str]) -> List[str]:
         """Arm pooled tasks with private object areas, when store-backed.
 
         With a :attr:`~repro.store.objects.ObjectStore.
@@ -399,17 +415,20 @@ class AssessmentPipeline:
         objects`` area under the store root: the worker persists its
         own results, the parent absorbs the areas on join, and a killed
         run leaves behind valid shard directories ``repro-store merge``
-        folds in.  Plain ``--cache`` runs (no base) are untouched.
-        Returns the armed shard directories (empty when inactive).
+        folds in.  Plain ``--cache`` runs (no base) and a lone task,
+        which runs inline, are untouched.  Returns the armed shard
+        directories (empty when inactive).
         """
         cache = self.config.cache
         base = (getattr(cache, "worker_shard_base", None)
                 if cache is not None else None)
-        if base is None:
+        if base is None or len(tasks) < 2:
             return []
         shard_dirs: List[str] = []
         for task in tasks:
-            task.cache_keys = keys_for(task)
+            paths = [path for path, _ in task.items]
+            task.cache_keys = [parse_keys.get(path) for path in paths]
+            task.check_keys = [check_keys[path] for path in paths]
             task.shard_dir = os.path.join(
                 base, default_shard_name(f"w{task.worker}"),
                 OBJECTS_DIRNAME)
@@ -468,165 +487,56 @@ class AssessmentPipeline:
                 checker.profile = self.config.rules
         return checkers
 
-    def _run_checkers(self, sources: Mapping[str, str],
-                      units: List[UnitSummary],
-                      fresh: Dict[str, TranslationUnit]
+    def _run_checkers(self, checkers: List[Checker],
+                      per_unit: List[Checker], units: List[UnitSummary],
+                      bundles: Dict[str, Bundle]
                       ) -> Dict[str, CheckerReport]:
-        checkers = self._checkers(sources)
-        with self.tracer.span("checkers") as checkers_span:
-            return self._run_checkers_engine(checkers, units, fresh,
-                                             sources, checkers_span)
+        """The checkers' project-level finish, over unit summaries.
 
-    def _run_checkers_engine(self, checkers: List[Checker],
-                             units: List[UnitSummary],
-                             fresh: Dict[str, TranslationUnit],
-                             sources: Mapping[str, str],
-                             checkers_span: Span
-                             ) -> Dict[str, CheckerReport]:
-        """The checker stage: serial, fanned out, or cache-assisted.
-
-        Per-unit checkers are replayed from individual per-unit
-        reports — gathered from the cache, or computed by the fused
-        single-sweep engine over full units (inline or fanned out to
-        workers) — merged in sorted-unit order and handed to each
-        checker's ``finish_from_units`` (for most, exactly the base
-        ``check_project``: merge + finalize).  Project-level checkers
-        run serially over all units, as always.  Both read the unit
-        summaries; the sweep's full units come from ``fresh`` (this
-        run's parses) or are re-parsed.
+        Per-unit checkers are replayed from the per-unit bundles the
+        parse stage swept or found cached, merged in sorted-unit order
+        and handed to each checker's ``finish_from_units`` (for most,
+        exactly the base ``check_project``: merge + finalize).
+        Project-level checkers run serially over all units, as always.
         """
         tracer = self.tracer
-        cache = self.config.cache
-        per_unit, _ = split_checkers(checkers)
         per_unit_names = {checker.name for checker in per_unit}
-        bundle_tag = "|".join(checker.fingerprint()
-                              for checker in per_unit)
-
-        bundles: Dict[str, Dict[str, CheckerReport]] = {}
-        pending: List[str] = []
-        key_by_path: Dict[str, str] = {}
-        if cache is None:
-            pending = [unit.filename for unit in units]
-        else:
-            hits = tracer.metrics.counter("cache.hits", stage="check")
-            misses = tracer.metrics.counter("cache.misses", stage="check")
-            for unit in units:
-                key = cache.key_for(CHECK_TAG, unit.filename,
-                                    sources.get(unit.filename, ""),
-                                    bundle_tag)
-                value = cache.get(key)
-                if value is CACHE_MISS:
-                    misses.inc()
-                    pending.append(unit.filename)
-                    key_by_path[unit.filename] = key
-                else:
-                    hits.inc()
-                    bundles[unit.filename] = value
-        checked, persisted = self._check_pending(
-            [self._full_unit(path, fresh, sources) for path in pending],
-            per_unit, checkers_span, key_by_path)
-        if cache is not None:
-            for path, bundle in checked.items():
-                # Crashed bundles are never cached (see bundle_has_crash);
-                # worker-persisted ones are not written twice.
-                if not bundle_has_crash(bundle) and path not in persisted:
-                    cache.put(key_by_path[path], bundle)
-        bundles.update(checked)
-
         strict = self.config.strict
         reports: Dict[str, CheckerReport] = {}
-        for checker in checkers:
-            require_unique_checker(checker, reports)
-            with tracer.span("checker", name=checker.name) as span:
-                try:
-                    if checker.name in per_unit_names:
-                        stage = "finalize"
-                        report = checker.finish_from_units(
-                            units,
-                            [bundles[unit.filename][checker.name]
-                             for unit in units])
-                    else:
-                        stage = "check_project"
-                        report = checker.check_project(units)
-                except ReproError:
-                    raise
-                except Exception as error:
-                    if strict:
+        with tracer.span("checkers"):
+            for checker in checkers:
+                require_unique_checker(checker, reports)
+                with tracer.span("checker", name=checker.name) as span:
+                    try:
+                        if checker.name in per_unit_names:
+                            stage = "finalize"
+                            report = checker.finish_from_units(
+                                units,
+                                [bundles[unit.filename][checker.name]
+                                 for unit in units])
+                        else:
+                            stage = "check_project"
+                            report = checker.check_project(units)
+                    except ReproError:
                         raise
-                    self.log.error(
-                        "checker.crash", checker=checker.name,
-                        stage=stage, span=span.id,
-                        error=f"{type(error).__name__}: {error}")
-                    report = crash_report(checker.name, make_crash(
-                        checker.name, stage, error))
-                    tracer.metrics.counter(
-                        "pipeline.checker_crashes").inc()
-                    span.set("crashed", 1)
-                span.set("findings", report.finding_count)
-            tracer.metrics.counter("checker.findings",
-                                   checker=checker.name).inc(
-                report.finding_count)
-            reports[checker.name] = report
+                    except Exception as error:
+                        if strict:
+                            raise
+                        self.log.error(
+                            "checker.crash", checker=checker.name,
+                            stage=stage, span=span.id,
+                            error=f"{type(error).__name__}: {error}")
+                        report = crash_report(checker.name, make_crash(
+                            checker.name, stage, error))
+                        tracer.metrics.counter(
+                            "pipeline.checker_crashes").inc()
+                        span.set("crashed", 1)
+                    span.set("findings", report.finding_count)
+                tracer.metrics.counter("checker.findings",
+                                       checker=checker.name).inc(
+                    report.finding_count)
+                reports[checker.name] = report
         return reports
-
-    def _full_unit(self, path: str, fresh: Dict[str, TranslationUnit],
-                   sources: Mapping[str, str]) -> TranslationUnit:
-        """The full unit the sweep needs: this run's parse of ``path``,
-        or — when its parse entry hit but its checker entry missed — a
-        re-parse of its source.  The re-parse is not a parse-cache miss
-        (the cached summary stays valid); it is counted under
-        ``pipeline.units_reparsed``."""
-        unit = fresh.get(path)
-        if unit is None:
-            unit = parse_translation_unit(sources[path], path)
-            self.tracer.metrics.counter("pipeline.units_reparsed").inc()
-        return unit
-
-    def _check_pending(self, pending: List[TranslationUnit],
-                       per_unit: List[Checker], checkers_span: Span,
-                       key_by_path: Dict[str, str]
-                       ) -> Tuple[Dict[str, Dict[str, CheckerReport]],
-                                  Set[str]]:
-        """Per-unit reports for the cache-missed units, fanned out when
-        ``jobs > 1``; returns ``({path: {checker name: report}},
-        worker-persisted paths)`` (see :meth:`_parse_pending`)."""
-        if not pending:
-            return {}, set()
-        strict = self.config.strict
-        if self.jobs <= 1 or len(pending) <= 1:
-            return {unit.filename: fused_unit_bundle(per_unit, unit,
-                                                     strict=strict,
-                                                     log=self.log)
-                    for unit in pending}, set()
-        tracer = self.tracer
-        tasks = [
-            CheckTask(checkers=[checker.for_units(chunk)
-                                for checker in per_unit],
-                      units=chunk, worker=index, traced=tracer.enabled,
-                      strict=strict, logged=self.log.enabled)
-            for index, chunk in enumerate(
-                chunk_evenly(pending, self.jobs))]
-        shard_dirs = self._worker_shards(
-            tasks, lambda task: [key_by_path[unit.filename]
-                                 for unit in task.units])
-        bundles: Dict[str, Dict[str, CheckerReport]] = {}
-        # As in _parse_pending: fold worker shard areas back in a
-        # finally, so an interrupted pool never leaks them.
-        try:
-            for chunk_bundles, worker_tracer, worker_events in run_tasks(
-                    run_check_task, tasks, jobs=self.jobs,
-                    executor=self.config.executor,
-                    timeout=self.config.task_timeout,
-                    metrics=tracer.metrics, log=self.log):
-                bundles.update(chunk_bundles)
-                graft_worker_trace(tracer, checkers_span, worker_tracer)
-                self.log.graft(worker_events)
-        finally:
-            self._absorb_worker_shards(shard_dirs)
-        if not shard_dirs:
-            return bundles, set()
-        return bundles, {path for path, bundle in bundles.items()
-                         if not bundle_has_crash(bundle)}
 
     # ------------------------------------------------------------------
     # stage 4: evidence

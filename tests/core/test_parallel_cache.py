@@ -204,13 +204,11 @@ class TestCheckerProtocol:
         assert default != tightened
         assert Checker.version in default
 
-    def test_style_for_units_prunes_sources(self):
-        from repro.lang.cppmodel import parse_translation_unit
+    def test_style_for_paths_prunes_sources(self):
         style = StyleChecker()
         style.add_source("a.cc", "int a;\n")
         style.add_source("b.cc", "int b;\n")
-        unit = parse_translation_unit("int a;\n", "a.cc")
-        pruned = style.for_units([unit])
+        pruned = style.for_paths(["a.cc"])
         assert pruned._sources == {"a.cc": "int a;\n"}
         assert pruned.config is style.config
 
@@ -352,8 +350,12 @@ class TestParallelTelemetry:
         tracer = Tracer()
         AssessmentPipeline(PipelineConfig(
             tracer=tracer, jobs=4)).run(corpus_sources)
-        assert len(tracer.find("parse_worker")) == 4
-        assert len(tracer.find("checker_worker")) == 4
+        workers = tracer.find("parse_worker")
+        assert len(workers) == 4
+        for worker in workers:
+            assert {s.name for s in worker.children} == {"parse_file"}
+            assert len(worker.children) == worker.attributes["files"]
+        assert tracer.find("checker_worker") == []
         assert len(tracer.find("parse_file")) == len(corpus_sources)
         histogram = tracer.metrics.histogram("pipeline.parse_seconds")
         assert histogram.count == len(corpus_sources)
@@ -366,7 +368,7 @@ class TestParallelTelemetry:
         from repro.core.parallel import ParseTask, run_parse_task
         task = ParseTask(items=sorted(corpus_sources.items())[:2],
                          worker=0, traced=True, logged=True)
-        outcomes, tracer, events = run_parse_task(
+        outcomes, _, tracer, events = run_parse_task(
             pickle.loads(pickle.dumps(task)))
         rebuilt, _, replayed = pickle.loads(
             pickle.dumps((outcomes, tracer, events)))

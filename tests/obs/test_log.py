@@ -127,16 +127,16 @@ class TestPipelineEvents:
         assert "run.degraded" not in {e["event"] for e in events}
 
     def test_parse_failure_event(self, monkeypatch):
-        from repro.core import pipeline as pipeline_module
+        from repro.core import parallel as parallel_module
         from repro.errors import ParseError
-        real = pipeline_module.parse_translation_unit
+        real = parallel_module.parse_translation_unit
 
         def flaky(source, path):
             if path.startswith("broken/"):
                 raise ParseError("boom", path, 1, 1)
             return real(source, path)
 
-        monkeypatch.setattr(pipeline_module, "parse_translation_unit",
+        monkeypatch.setattr(parallel_module, "parse_translation_unit",
                             flaky)
         from repro.obs import Tracer
         stream = io.StringIO()
