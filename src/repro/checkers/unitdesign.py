@@ -20,7 +20,7 @@ needs the whole call graph), so :meth:`check_project` overrides the default.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
 
 from ..lang.cppmodel import TYPE_KEYWORDS, FunctionInfo, TranslationUnit
 from ..lang.summary import UnitSummary, unit_summaries
@@ -369,52 +369,56 @@ class UnitDesignChecker(Checker):
 
 
 def _functions_on_cycles(graph: Dict[str, Set[str]]) -> Set[str]:
-    """Names on any cycle of the call graph (iterative Tarjan SCC)."""
-    index_counter = [0]
+    """Names on any cycle of the call graph (iterative Tarjan SCC).
+
+    Each work-stack frame keeps an iterator over the node's callees,
+    sorted once when the node is first visited, so a resumed node
+    continues where it left off.
+    """
+    counter = 0
     indices: Dict[str, int] = {}
     lowlinks: Dict[str, int] = {}
     on_stack: Set[str] = set()
     stack: List[str] = []
     result: Set[str] = set()
+    work: List[Tuple[str, Iterator[str]]] = []
+
+    def visit(node: str) -> None:
+        nonlocal counter
+        indices[node] = lowlinks[node] = counter
+        counter += 1
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(sorted(graph.get(node, ())))))
 
     for root in graph:
         if root in indices:
             continue
-        work: List[Tuple[str, int]] = [(root, 0)]
+        visit(root)
         while work:
-            node, child_index = work.pop()
-            if child_index == 0:
-                indices[node] = index_counter[0]
-                lowlinks[node] = index_counter[0]
-                index_counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = sorted(graph.get(node, ()))
-            recurse = False
-            for position in range(child_index, len(children)):
-                child = children[position]
+            node, children = work[-1]
+            for child in children:
                 if child not in indices:
-                    work.append((node, position + 1))
-                    work.append((child, 0))
-                    recurse = True
+                    visit(child)
                     break
                 if child in on_stack:
                     lowlinks[node] = min(lowlinks[node], indices[child])
-            if recurse:
-                continue
-            if lowlinks[node] == indices[node]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    result.update(component)
-                elif node in graph.get(node, ()):
-                    result.add(node)  # direct self-recursion
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
+            else:
+                work.pop()
+                if lowlinks[node] == indices[node]:
+                    component: List[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1:
+                        result.update(component)
+                    elif node in graph.get(node, ()):
+                        result.add(node)  # direct self-recursion
+                if work:
+                    parent = work[-1][0]
+                    lowlinks[parent] = min(lowlinks[parent],
+                                           lowlinks[node])
     return result

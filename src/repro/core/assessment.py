@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..checkers.base import CheckerCrash, CheckerReport
 from ..rules import BaselineComparison, RuleProfile
@@ -39,6 +39,17 @@ class AssessmentResult:
     #: Contained internal faults (checker crashes, parser-internal
     #: errors) in pipeline order; non-empty marks the run degraded.
     crashes: List[CheckerCrash] = field(default_factory=list)
+    #: What the project-level stages (2–6) read, from a cache-backed
+    #: run (a :class:`~repro.core.pipeline.ProjectSignature`); ``None``
+    #: without a cache or when a file's parse or sweep crashed.  A
+    #: later run with an equal signature may share this result's
+    #: modules, reports, evidence, tables and observations, so those
+    #: are never mutated.
+    signature: Optional[Any] = field(default=None, repr=False,
+                                     compare=False)
+    #: True when stages 2–6 were shared from a previous result rather
+    #: than recomputed.
+    project_reused: bool = field(default=False, compare=False)
 
     # ------------------------------------------------------------------
 

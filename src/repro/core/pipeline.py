@@ -29,6 +29,15 @@ taken right after parsing, and that summary is what the parse cache
 entry holds.  A file whose parse entry hits but whose checker entry
 misses (a changed profile or checker) is re-parsed in the task for its
 sweep.
+
+Stages 2–6 (metrics, the checkers' project-level finish, evidence,
+compliance, observations) read nothing but the per-file outputs, the
+checkers and a few config values.  Every result carries a
+:class:`ProjectSignature` of exactly those inputs, and
+:meth:`AssessmentPipeline.run` handed a ``previous`` result with the
+same signature shares that result's project-level parts instead of
+recomputing them (``repro-serve`` does this for a repeat ``assess``).
+Shared parts are never mutated, by the pipeline or by any reader.
 """
 
 from __future__ import annotations
@@ -36,9 +45,10 @@ from __future__ import annotations
 import gc
 import os
 import shutil
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Tuple)
 
-from ..checkers.architecture import ArchitectureChecker
+from ..checkers.architecture import ArchitectureChecker, ArchitectureConfig
 from ..checkers.base import (
     Checker,
     CheckerCrash,
@@ -56,9 +66,14 @@ from ..checkers.naming import NamingChecker
 from ..checkers.style import StyleChecker
 from ..checkers.unitdesign import UnitDesignChecker
 from ..errors import ConfigError, ReproError
-from ..iso26262.compliance import ComplianceEngine
+from ..iso26262.asil import Asil
+from ..iso26262.compliance import (
+    ComplianceEngine,
+    ComplianceThresholds,
+    TableAssessment,
+)
 from ..iso26262.evidence import EvidenceSet
-from ..iso26262.observations import generate_observations
+from ..iso26262.observations import Observation, generate_observations
 # Re-exported only: files are parsed inside the tasks of .parallel.
 from ..lang.cppmodel import parse_translation_unit  # noqa: F401
 from ..lang.summary import UnitSummary
@@ -120,6 +135,39 @@ def shard_slice(paths: List[str], shard: Optional[Tuple[int, int]]
     return paths[index - 1::count]
 
 
+#: One file's inputs to the project-level stages: ``(path, parse key,
+#: check key)``, the check key ``None`` for a file that did not parse.
+FileKey = Tuple[str, str, Optional[str]]
+
+
+class ProjectSignature(NamedTuple):
+    """Everything stages 2–6 of a run read, for :meth:`AssessmentPipeline.
+    run`'s reuse test; two runs with equal signatures produce equal
+    project-level parts.
+
+    ``module_of`` compares by identity, the (frozen) config dataclasses
+    by value.
+    """
+
+    files: Tuple[FileKey, ...]
+    fingerprints: Tuple[str, ...]
+    module_of: Callable[[str], str]
+    architecture: ArchitectureConfig
+    target_asil: Asil
+    thresholds: ComplianceThresholds
+    skip_unparseable: bool
+
+
+class _ProjectStages(NamedTuple):
+    """The parts of a result stages 2–6 produce."""
+
+    modules: List[ModuleMetrics]
+    reports: Dict[str, CheckerReport]
+    evidence: EvidenceSet
+    tables: Dict[str, TableAssessment]
+    observations: List[Observation]
+
+
 class AssessmentPipeline:
     """Runs the full assessment over a path -> source mapping.
 
@@ -131,7 +179,9 @@ class AssessmentPipeline:
     count), ``evidence``, ``compliance``, and ``observations`` children —
     plus counters for units parsed, parse failures, findings per
     checker, and cache hits/misses per stage.  The default is the
-    no-op NULL_TRACER.
+    no-op NULL_TRACER.  A run that shares a previous result's stages
+    2–6 still opens each of their spans (marked ``reused``) and fires
+    the per-checker finding counters, plus ``pipeline.project_reused``.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None) -> None:
@@ -156,8 +206,18 @@ class AssessmentPipeline:
 
     # ------------------------------------------------------------------
 
-    def run(self, sources: Mapping[str, str]) -> AssessmentResult:
+    def run(self, sources: Mapping[str, str],
+            previous: Optional[AssessmentResult] = None
+            ) -> AssessmentResult:
         """Assess a codebase given as ``{path: source_text}``.
+
+        With ``previous`` — an earlier result of a cache-backed run —
+        the per-file stage runs as always (every cache lookup counted),
+        but when this run's :class:`ProjectSignature` equals
+        ``previous``'s, ``previous`` was not degraded and nothing
+        crashed this time, stages 2–6 are not recomputed: the returned
+        result shares ``previous``'s modules, reports, evidence, tables
+        and observations.  The baseline comparison always runs.
 
         Unless :attr:`PipelineConfig.strict` is set, internal faults
         (a checker or the parser raising outside the
@@ -190,39 +250,31 @@ class AssessmentPipeline:
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(sources, crashes, tracer, log)
+            return self._run(sources, crashes, tracer, log, previous)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
     def _run(self, sources: Mapping[str, str],
-             crashes: List[CheckerCrash], tracer, log) -> AssessmentResult:
+             crashes: List[CheckerCrash], tracer, log,
+             previous: Optional[AssessmentResult]) -> AssessmentResult:
         with tracer.span("pipeline") as root:
             checkers = self._checkers(sources)
             per_unit, _ = split_checkers(checkers)
-            units, bundles, unparseable = self._parse_all(
+            units, bundles, unparseable, files = self._parse_all(
                 sources, per_unit, crashes)
-            modules = self._measure_modules(sources, units)
-            reports = self._run_checkers(checkers, per_unit, units,
-                                         bundles)
-            for name in reports:
-                crashes.extend(reports[name].crashes)
-            if crashes:
-                tracer.metrics.counter("pipeline.crashes").inc(
-                    len(crashes))
-                log.warning("run.degraded", crashes=len(crashes))
-            with tracer.span("evidence"):
-                evidence = self._assemble_evidence(modules, reports)
-            with tracer.span("compliance"):
-                engine = ComplianceEngine(
-                    target_asil=self.config.target_asil,
-                    thresholds=self.config.thresholds)
-                tables = engine.assess_all(evidence)
-            with tracer.span("observations") as span:
-                observations = generate_observations(evidence)
-                span.set("observations", len(observations))
+            signature = self._signature(checkers, files)
+            reused = (previous is not None and signature is not None
+                      and signature == previous.signature
+                      and not previous.degraded)
+            if reused:
+                project = self._replay_project(previous)
+            else:
+                project = self._project_stages(
+                    sources, checkers, per_unit, units, bundles, crashes)
             root.set("units", len(units))
             root.set("jobs", self.jobs)
+        reports = project.reports
         log.info("run.finish", units=len(units),
                  findings=sum(report.finding_count
                               for report in reports.values()),
@@ -230,17 +282,88 @@ class AssessmentPipeline:
         baseline = (self.config.baseline.compare(reports)
                     if self.config.baseline is not None else None)
         return AssessmentResult(
-            modules=modules,
-            reports=reports,
-            evidence=evidence,
-            tables=tables,
-            observations=observations,
+            **project._asdict(),
             unit_count=len(units),
             unparseable=unparseable,
             profile=self.config.rules,
             baseline=baseline,
             crashes=crashes,
+            signature=signature,
+            project_reused=reused,
         )
+
+    def _project_stages(self, sources: Mapping[str, str],
+                        checkers: List[Checker], per_unit: List[Checker],
+                        units: List[UnitSummary],
+                        bundles: Dict[str, Bundle],
+                        crashes: List[CheckerCrash]) -> _ProjectStages:
+        """Stages 2–6, computed from this run's per-file outputs."""
+        tracer = self.tracer
+        modules = self._measure_modules(sources, units)
+        reports = self._run_checkers(checkers, per_unit, units, bundles)
+        for name in reports:
+            crashes.extend(reports[name].crashes)
+        if crashes:
+            tracer.metrics.counter("pipeline.crashes").inc(len(crashes))
+            self.log.warning("run.degraded", crashes=len(crashes))
+        with tracer.span("evidence"):
+            evidence = self._assemble_evidence(modules, reports)
+        with tracer.span("compliance"):
+            engine = ComplianceEngine(
+                target_asil=self.config.target_asil,
+                thresholds=self.config.thresholds)
+            tables = engine.assess_all(evidence)
+        with tracer.span("observations") as span:
+            observations = generate_observations(evidence)
+            span.set("observations", len(observations))
+        return _ProjectStages(modules, reports, evidence, tables,
+                              observations)
+
+    def _replay_project(self, previous: AssessmentResult
+                        ) -> _ProjectStages:
+        """Stages 2–6 shared from ``previous``, computing nothing.
+
+        The stage spans open as in :meth:`_project_stages` (each marked
+        ``reused``, so run records keep their shape) and every
+        checker's ``checker.findings`` counter fires.
+        """
+        tracer = self.tracer
+        metrics = tracer.metrics
+        metrics.counter("pipeline.project_reused").inc()
+        with tracer.span("metrics", reused=1) as span:
+            span.set("modules", len(previous.modules))
+        with tracer.span("checkers", reused=1):
+            for name, report in previous.reports.items():
+                with tracer.span("checker", name=name) as span:
+                    span.set("findings", report.finding_count)
+                metrics.counter("checker.findings", checker=name).inc(
+                    report.finding_count)
+        for stage in ("evidence", "compliance"):
+            with tracer.span(stage, reused=1):
+                pass
+        with tracer.span("observations", reused=1) as span:
+            span.set("observations", len(previous.observations))
+        return _ProjectStages(previous.modules, previous.reports,
+                              previous.evidence, previous.tables,
+                              previous.observations)
+
+    def _signature(self, checkers: List[Checker],
+                   files: Optional[Tuple[FileKey, ...]]
+                   ) -> Optional[ProjectSignature]:
+        """This run's :class:`ProjectSignature`, or ``None`` when there
+        are no ``files`` keys to identify the per-file inputs by."""
+        if files is None:
+            return None
+        config = self.config
+        return ProjectSignature(
+            files=files,
+            fingerprints=tuple(checker.fingerprint()
+                               for checker in checkers),
+            module_of=config.module_of,
+            architecture=config.architecture,
+            target_asil=config.target_asil,
+            thresholds=config.thresholds,
+            skip_unparseable=config.skip_unparseable)
 
     # ------------------------------------------------------------------
     # stage 1: parse, summarize, and sweep the per-unit checkers
@@ -248,9 +371,11 @@ class AssessmentPipeline:
     def _parse_all(self, sources: Mapping[str, str],
                    per_unit: List[Checker], crashes: List[CheckerCrash]
                    ) -> Tuple[List[UnitSummary], Dict[str, Bundle],
-                              List[str]]:
+                              List[str], Optional[Tuple[FileKey, ...]]]:
         """Per-file stage: ``(summaries, per-unit checker bundles by
-        path, unparseable paths)``, summaries in sorted path order.
+        path, unparseable paths, file keys)``, summaries and file keys
+        in sorted path order.  The file keys are ``None`` without a
+        cache, or when a file's parse or sweep crashed this run.
 
         Every file's cache entries are looked up before dispatch; the
         files they do not settle go to :meth:`_parse_pending`.  A parse
@@ -270,6 +395,7 @@ class AssessmentPipeline:
             outcomes: Dict[str, ParseOutcome] = {}
             bundles: Dict[str, Bundle] = {}
             pending: List[str] = []
+            all_parse_keys: List[str] = []
             parse_keys: Dict[str, str] = {}  # the parse-missed files
             check_keys: Dict[str, str] = {}
             if cache is None:
@@ -280,6 +406,7 @@ class AssessmentPipeline:
                 reparsed = metrics.counter("pipeline.units_reparsed")
                 for path in paths:
                     key = cache.key_for(PARSE_TAG, path, sources[path])
+                    all_parse_keys.append(key)
                     outcome = self._lookup("parse", key)
                     if outcome is CACHE_MISS:
                         parse_keys[path] = key
@@ -323,7 +450,17 @@ class AssessmentPipeline:
                     units.append(outcome.summary)
             parse_span.set("files", len(sources))
             parse_span.set("failures", len(unparseable))
-        return units, bundles, unparseable
+        # Only this run's sweeps can have crashed: cached bundles never
+        # hold a crash (see bundle_has_crash).
+        files = None
+        if cache is not None and not crashes and not any(
+                bundle_has_crash(bundles[path])
+                for path in pending if path in bundles):
+            files = tuple(
+                (path, key, check_keys[path]
+                 if outcomes[path].summary is not None else None)
+                for path, key in zip(paths, all_parse_keys))
+        return units, bundles, unparseable, files
 
     def _lookup(self, stage: str, key: str):
         """One cache lookup, counted per stage."""

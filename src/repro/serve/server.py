@@ -6,8 +6,11 @@ result store once, then answers ``assess`` / ``diff`` / ``rules`` /
 hot in memory (:class:`~repro.core.cache.MemoryCache` by default, the
 store's shared object area under ``--store``).  A repeat ``assess`` of
 an unchanged tree therefore recomputes nothing: every per-file stage
-short-circuits to a content-addressed cache hit, and the reply is
-byte-identical to the first.
+short-circuits to a content-addressed cache hit, the project-level
+stages (metrics, checker finish, evidence, compliance, observations)
+are shared from the root's previous result when their inputs are
+unchanged (see :meth:`~repro.core.pipeline.AssessmentPipeline.run`),
+and the reply is byte-identical to the first.
 
 Each request runs inside the fault-containment boundary the pipeline
 already provides: a crashing checker or a corrupt cache entry degrades
@@ -94,6 +97,7 @@ class _CacheDelta:
 
     @property
     def referenced(self):
+        # the server clears the set before each request (see assess)
         return getattr(self._cache, "referenced", ())
 
     def to_dict(self) -> Dict[str, int]:
@@ -137,6 +141,9 @@ class AssessmentServer:
         #: Latest and previous assessment per root (the diff operands).
         self.results: Dict[str, Any] = {}
         self.previous: Dict[str, Any] = {}
+        #: The latest reply's ``findings`` body per root, shared by the
+        #: next reply when its result shares the reports.
+        self.findings: Dict[str, Dict[str, List[str]]] = {}
         #: Memory-cache keys each root's latest assessment touched; the
         #: union is what :meth:`MemoryCache.retain` keeps.
         self.live_keys: Dict[str, Set[str]] = {}
@@ -144,6 +151,7 @@ class AssessmentServer:
         self.started = time.monotonic()
         self.requests = 0
         self.assessments = 0
+        self.project_reuses = 0
         self.errors = 0
         self.degraded_replies = 0
         self._lock = threading.RLock()
@@ -293,6 +301,7 @@ class AssessmentServer:
             "uptime_seconds": round(time.monotonic() - self.started, 3),
             "requests": self.requests,
             "assessments": self.assessments,
+            "project_reuses": self.project_reuses,
             "errors": self.errors,
             "degraded_replies": self.degraded_replies,
             "skipped_unreadable": sum(
@@ -319,19 +328,30 @@ class AssessmentServer:
             tracer = (Tracer()
                       if self.store is not None
                       or self.ledger_dir is not None else None)
-            memory = isinstance(self.cache, MemoryCache)
-            if memory:
-                # collect exactly the keys this assessment touches
-                self.cache.referenced.clear()
+            # Collect exactly the keys this assessment touches: the
+            # memory cache retains them, and a store-backed run record
+            # pins them.
+            self.cache.referenced.clear()
             delta = _CacheDelta(self.cache)
+            previous = self.results.get(root)
             start = time.perf_counter()
-            result = AssessmentPipeline(self._config(tracer)).run(sources)
+            result = AssessmentPipeline(self._config(tracer)).run(
+                sources, previous=previous)
             duration = time.perf_counter() - start
-            if memory:
+            if isinstance(self.cache, MemoryCache):
                 self._retain_live(root)
             self.assessments += 1
-            self.previous[root] = self.results.get(root)
+            self.previous[root] = previous
             self.results[root] = result
+            if result.project_reused:
+                self.project_reuses += 1
+                findings = self.findings[root]
+            else:
+                findings = {
+                    name: sorted(finding.located()
+                                 for finding in report.findings)
+                    for name, report in sorted(result.reports.items())}
+                self.findings[root] = findings
             run_id = self._record_run(result, root, duration, tracer,
                                       delta, files=len(sources))
             reply: Dict[str, Any] = {
@@ -342,10 +362,7 @@ class AssessmentServer:
                 "total_findings": sum(
                     report.finding_count
                     for report in result.reports.values()),
-                "findings": {
-                    name: sorted(finding.located()
-                                 for finding in report.findings)
-                    for name, report in sorted(result.reports.items())},
+                "findings": findings,
                 "verdicts": result.verdict_counts(),
                 "cache": delta.to_dict(),
                 "seconds": round(duration, 6),

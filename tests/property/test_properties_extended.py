@@ -188,3 +188,41 @@ class TestSingleExitProperties:
         for probe in probes:
             assert Interpreter(program).run("f", [probe]) == \
                 Interpreter(rewritten).run("f", [probe])
+
+
+def _on_cycle_brute_force(graph):
+    """Nodes that reach themselves through at least one call edge."""
+    on_cycle = set()
+    for node in graph:
+        seen, frontier = set(), list(graph[node])
+        while frontier:
+            current = frontier.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            frontier.extend(graph.get(current, ()))
+        if node in seen:
+            on_cycle.add(node)
+    return on_cycle
+
+
+#: Call graphs over a small name pool: self-loops, cycles of every
+#: length, and callees that are not graph keys (external functions).
+call_graphs = st.dictionaries(
+    st.sampled_from("abcdefgh"),
+    st.sets(st.sampled_from("abcdefghij"), max_size=4), max_size=8)
+
+
+class TestRecursionDetectionProperties:
+    @given(call_graphs)
+    @settings(max_examples=300, deadline=None)
+    def test_tarjan_matches_reachability(self, graph):
+        from repro.checkers.unitdesign import _functions_on_cycles
+        assert _functions_on_cycles(graph) == _on_cycle_brute_force(graph)
+
+    def test_long_chain_does_not_recurse(self):
+        from repro.checkers.unitdesign import _functions_on_cycles
+        names = [f"f{index}" for index in range(5000)]
+        graph = {name: {callee} for name, callee in zip(names, names[1:])}
+        graph[names[-1]] = {names[0]}
+        assert _functions_on_cycles(graph) == set(names)

@@ -275,6 +275,54 @@ class TestMemoryCacheRetention:
         assert again["cache"]["misses"] == 0
 
 
+class TestProjectReuse:
+    """A repeat assess of an unchanged tree shares the previous
+    result's project-level stages; anything else recomputes."""
+
+    @staticmethod
+    def reuses(server):
+        return server.handle_line('{"verb": "stats"}')["project_reuses"]
+
+    def test_reused_noop_equals_a_fresh_daemons_first_reply(self, tree):
+        server = AssessmentServer(tree)
+        assess(server)
+        noop = assess(server)
+        assert self.reuses(server) == 1
+        assert noop["cache"]["misses"] == 0
+        assert stable(noop) == stable(assess(AssessmentServer(tree)))
+
+    def test_diff_after_reused_noop_is_empty(self, tree):
+        server = AssessmentServer(tree)
+        assess(server)
+        assess(server)
+        reply = server.handle_line('{"verb": "diff"}')
+        assert reply["findings"] == {"new": [], "fixed": [],
+                                     "rules_changed": []}
+        assert reply["verdicts"]["transitions"] == []
+
+    def test_edit_after_reuse_recomputes(self, tree):
+        server = AssessmentServer(tree)
+        assess(server)
+        assess(server)
+        write(tree, "clean.cpp", GOTO + CLEAN)
+        edited = assess(server)
+        assert self.reuses(server) == 1
+        assert any("clean.cpp" in finding and "UD9.goto" in finding
+                   for finding in edited["findings"]["unit_design"])
+        assert stable(edited) == stable(assess(AssessmentServer(tree)))
+
+    def test_degraded_previous_is_never_reused(self, tree):
+        plan = FaultPlan(faults=[Fault("raise", path="dirty.cpp")])
+        server = AssessmentServer(
+            tree, extra_checkers=(FaultyChecker(plan),))
+        assert assess(server)["degraded"] is True
+        clean = assess(server)  # same tree; the one-shot plan is spent
+        assert clean["degraded"] is False
+        assert self.reuses(server) == 0
+        assert assess(server)["degraded"] is False
+        assert self.reuses(server) == 1
+
+
 class TestStoreBackedServing:
     def test_each_assess_appends_a_run_record(self, tree, tmp_path):
         store = Store(str(tmp_path / "store"))
@@ -289,6 +337,23 @@ class TestStoreBackedServing:
         assert records[0].cache["misses"] > 0
         assert records[1].cache["misses"] == 0
         assert records[1].cache["hits"] == records[0].cache["puts"]
+
+    def test_run_record_pins_only_its_own_keys(self, tree, tmp_path):
+        """Each served record pins this request's parse and check keys,
+        not every key the daemon touched before it."""
+        store = Store(str(tmp_path / "store"))
+        server = AssessmentServer(tree, store=store)
+        assess(server)
+        for index in range(3):
+            write(tree, "clean.cpp", CLEAN + f"int edit_{index};\n")
+            assess(server)
+            result = server.results[os.path.abspath(tree)]
+            keys = {key for _, parse_key, check_key
+                    in result.signature.files
+                    for key in (parse_key, check_key)}
+            record = list(store.history().records())[-1]
+            assert len(keys) == 4
+            assert set(record.objects) == keys
 
     def test_ledger_dir_serving(self, tree, tmp_path):
         from repro.obs import RunLedger
