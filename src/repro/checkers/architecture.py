@@ -88,13 +88,6 @@ class ArchitectureChecker(Checker):
         self.config = config
         self.module_of = module_of
 
-    def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        """Per-unit behaviour: only the interface-size check applies."""
-        report = self.new_report((unit,))
-        self._check_interfaces([unit], report)
-        report.stats.setdefault("oversized_interfaces", 0)
-        return report
-
     def check_project(self,
                       units: Iterable[Union[TranslationUnit, UnitSummary]]
                       ) -> CheckerReport:

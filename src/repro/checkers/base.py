@@ -20,12 +20,12 @@ behavior.
 
 from __future__ import annotations
 
-import abc
 import traceback as traceback_module
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..engine.index import function_line_index
+from ..engine.interests import UnitSweep
 from ..errors import ReproError
 from ..lang.cppmodel import TranslationUnit
 from ..lang.summary import UnitSummary
@@ -50,9 +50,11 @@ __all__ = [
     "Severity",
     "crash_report",
     "enclosing_function_name",
+    "finish_checkers",
     "make_crash",
     "require_unique_checker",
     "run_checkers",
+    "split_checkers",
 ]
 
 
@@ -242,12 +244,15 @@ def crash_report(checker: str, crash: CheckerCrash) -> CheckerReport:
     return report
 
 
-class Checker(abc.ABC):
+class Checker:
     """Base class for all static checkers.
 
-    Subclasses implement :meth:`check_unit`; project-level checkers that
-    need cross-file information (call graphs, include graphs) additionally
-    override :meth:`check_project`.
+    A checker's per-unit analysis is its :meth:`unit_visitor`: handlers
+    registered on a :class:`~repro.engine.interests.UnitSweep`.  That
+    is the only implementation, run by the pipeline's shared sweep and
+    by :meth:`check_unit` alike.  Project-level checkers that need
+    cross-file information (call graphs, include graphs) additionally
+    override :meth:`finish_from_units` or :meth:`check_project`.
     """
 
     #: Stable checker name, used as the report key.
@@ -266,26 +271,40 @@ class Checker(abc.ABC):
     #: (they have no owner, so per-owner flagging cannot reach them).
     audits_unknown_deviations: bool = False
 
-    @abc.abstractmethod
     def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        """Analyze one translation unit."""
+        """Analyze one translation unit with a one-checker sweep.
+
+        Runs exactly the handlers :meth:`unit_visitor` registers, on a
+        sweep of ``unit`` that no other checker shares.  An external
+        checker may override this instead of :meth:`unit_visitor`; the
+        engine then calls it after the shared sweep.
+        """
+        sweep = UnitSweep(unit)
+        sweep.owner = self
+        report = self.new_report((unit,))
+        self.unit_visitor(unit, report, sweep)
+        sweep.run()
+        return report
 
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
-                     sweep) -> bool:
-        """Register this checker's interests on a fused ``sweep``.
+                     sweep: UnitSweep) -> None:
+        """Register this checker's analysis of ``unit`` on ``sweep``.
 
-        Called by :func:`repro.engine.driver.fused_unit_bundle` with a
-        fresh ``report`` (from :meth:`new_report`) that the registered
-        handlers emit into.  Return True when registered; the default
-        False sends the checker down the legacy :meth:`check_unit`
-        fallback, so external checkers keep working unchanged.
+        The registered handlers emit into ``report``, a fresh
+        :meth:`new_report`, in the sweep's phase order (see
+        :class:`~repro.engine.interests.UnitSweep`); work that must
+        land later buffers its findings and flushes them from an
+        :meth:`~repro.engine.interests.UnitSweep.at_end` hook.
 
-        The contract is byte-identical output: the handlers must emit
-        exactly what :meth:`check_unit` emits, in the same order (the
-        sweep's phase ordering — see :class:`~repro.engine.interests.
-        UnitSweep` — plus buffering where the legacy order demands it).
+        A checker that overrides neither this nor :meth:`check_unit`
+        has no analysis at all, so the base raises
+        :class:`NotImplementedError` rather than silently reporting
+        nothing: contained as an ``internal.checker_crash``, or raised
+        under ``strict``.
         """
-        return False
+        raise NotImplementedError(
+            f"checker {self.name!r} overrides neither unit_visitor nor "
+            f"check_unit")
 
     def finish_from_units(self,
                           units: List[Union[TranslationUnit, UnitSummary]],
@@ -299,12 +318,11 @@ class Checker(abc.ABC):
         fields; other callers may pass full units, which it converts
         with :func:`~repro.lang.summary.unit_summaries`.
         ``unit_reports`` are this checker's per-unit reports in unit
-        order — produced by :meth:`check_unit` or the fused engine, and
-        possibly replayed from the result cache.  The default merge +
-        :meth:`finalize` mirrors the base :meth:`check_project`; a
-        checker with extra project-level work (e.g. unit design's
-        call-graph recursion pass) overrides this so the pipeline can
-        still distribute and cache its per-unit portion.
+        order — produced by the fused engine or :meth:`check_unit`, and
+        possibly replayed from the result cache.  The default is merge +
+        :meth:`finalize`; a checker with extra project-level work (e.g.
+        unit design's call-graph recursion pass) overrides this so the
+        pipeline can still distribute and cache its per-unit portion.
         """
         report = CheckerReport(checker=self.name)
         for unit_report in unit_reports:
@@ -410,18 +428,16 @@ class Checker(abc.ABC):
                       units: Iterable[TranslationUnit]) -> CheckerReport:
         """Analyze a set of translation units.
 
-        The default implementation merges per-unit reports and then calls
-        :meth:`finalize` so ratio statistics can be recomputed from the
-        summed counters.  The pipeline replays it from per-unit reports
-        instead (see :meth:`finish_from_units`); a checker overriding
-        only this method is project-level, and the pipeline hands it the
-        files' :class:`~repro.lang.summary.UnitSummary` records.
+        The default checks each unit with :meth:`check_unit` and hands
+        the reports to :meth:`finish_from_units`, which is how the
+        pipeline replays it from per-unit reports.  A checker
+        overriding only this method is project-level, and the pipeline
+        hands it the files' :class:`~repro.lang.summary.UnitSummary`
+        records.
         """
-        report = CheckerReport(checker=self.name)
-        for unit in units:
-            report.merge(self.check_unit(unit))
-        self.finalize(report)
-        return report
+        units = list(units)
+        return self.finish_from_units(
+            units, [self.check_unit(unit) for unit in units])
 
     def finalize(self, report: CheckerReport) -> None:
         """Recompute derived statistics after merging; default no-op."""
@@ -448,50 +464,78 @@ def require_unique_checker(checker: Checker,
             f"would silently overwrite an earlier checker's")
 
 
-def run_checkers(checkers: Iterable[Checker],
-                 units: Iterable[TranslationUnit],
-                 tracer=None,
-                 strict: bool = False,
-                 log=None,
-                 ) -> Dict[str, CheckerReport]:
-    """Run several checkers over the same units; returns name -> report.
+def _finishes_from_units(checker: Checker) -> bool:
+    """True when ``checker``'s project report is replayed from its
+    per-unit reports (see :func:`split_checkers`)."""
+    return (type(checker).check_project is Checker.check_project
+            or type(checker).finish_from_units
+            is not Checker.finish_from_units)
 
-    Duplicate checker names are a :class:`ValueError` (see
-    :func:`require_unique_checker`).
 
-    A checker that raises a non-:class:`~repro.errors.ReproError` is
-    *contained*: the crash becomes a :class:`CheckerCrash` record plus a
-    ``internal.checker_crash`` finding in that checker's report, and the
-    remaining checkers still run.  ``strict=True`` restores the old
-    abort-on-first-crash behavior (the original exception propagates).
+def split_checkers(checkers: Sequence[Checker]
+                   ) -> Tuple[List[Checker], List[Checker]]:
+    """Partition into (per-unit, project-level) checkers.
 
-    Args:
-        tracer: optional :class:`~repro.obs.Tracer`; each checker gets a
-            ``checker`` span with its finding count, and findings are
-            counted under ``checker.findings{checker=...}``.
-        strict: re-raise checker crashes instead of containing them.
-        log: optional :class:`~repro.obs.EventLog`; contained crashes
-            are logged as ``checker.crash`` events.
+    A checker that keeps the base :meth:`~Checker.check_project` is a
+    per-unit sweep plus :meth:`~Checker.finish_from_units`, so its
+    project report can be replayed from distributed (or cached)
+    per-unit reports.  So can one that overrides
+    :meth:`~Checker.finish_from_units`: its per-unit portion
+    distributes, and the override runs the project-wide remainder over
+    the merged result (unit design's recursion pass).  Anything else
+    overriding :meth:`~Checker.check_project` needs the whole unit set
+    at once.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    log = log if log is not None else NULL_LOG
-    units = list(units)
+    return ([checker for checker in checkers
+             if _finishes_from_units(checker)],
+            [checker for checker in checkers
+             if not _finishes_from_units(checker)])
+
+
+def finish_checkers(checkers: Sequence[Checker],
+                    units: Sequence[Union[TranslationUnit, UnitSummary]],
+                    bundles: Sequence[Dict[str, CheckerReport]],
+                    tracer=NULL_TRACER, log=NULL_LOG,
+                    strict: bool = False) -> Dict[str, CheckerReport]:
+    """Every checker's project report: name -> report, in checker order.
+
+    ``bundles`` holds one ``{checker name: per-unit report}`` dict per
+    unit, aligned with ``units``.  A per-unit checker (see
+    :func:`split_checkers`) is finished from its per-unit reports with
+    :meth:`~Checker.finish_from_units`; a project-level one runs
+    :meth:`~Checker.check_project` over ``units``.
+
+    This is the one place project-level work is contained: a checker
+    raising a non-:class:`~repro.errors.ReproError` gets a
+    :func:`crash_report` (stage ``"finalize"`` or ``"check_project"``),
+    logged as a ``checker.crash`` event, and the remaining checkers
+    still run.  ``strict=True`` re-raises instead.  Each checker gets a
+    ``checker`` span with its finding count, and findings are counted
+    under ``checker.findings{checker=...}``.  Duplicate checker names
+    are a :class:`ValueError` (see :func:`require_unique_checker`).
+    """
     reports: Dict[str, CheckerReport] = {}
     for checker in checkers:
         require_unique_checker(checker, reports)
         with tracer.span("checker", name=checker.name) as span:
             try:
-                report = checker.check_project(units)
+                if _finishes_from_units(checker):
+                    stage = "finalize"
+                    report = checker.finish_from_units(
+                        units, [bundle[checker.name] for bundle in bundles])
+                else:
+                    stage = "check_project"
+                    report = checker.check_project(units)
             except ReproError:
                 raise
             except Exception as error:
                 if strict:
                     raise
                 log.error("checker.crash", checker=checker.name,
-                          stage="check_project",
+                          stage=stage, span=span.id,
                           error=f"{type(error).__name__}: {error}")
                 report = crash_report(checker.name, make_crash(
-                    checker.name, "check_project", error))
+                    checker.name, stage, error))
                 tracer.metrics.counter("pipeline.checker_crashes").inc()
                 span.set("crashed", 1)
             span.set("findings", report.finding_count)
@@ -500,6 +544,43 @@ def run_checkers(checkers: Iterable[Checker],
             report.finding_count)
         reports[checker.name] = report
     return reports
+
+
+def run_checkers(checkers: Iterable[Checker],
+                 units: Iterable[TranslationUnit],
+                 tracer=None,
+                 strict: bool = False,
+                 log=None,
+                 ) -> Dict[str, CheckerReport]:
+    """Run several checkers over the same units; returns name -> report.
+
+    The same code the pipeline runs: per-unit checkers sweep each unit
+    together (:func:`repro.engine.driver.fused_unit_bundle`) and are
+    finished by :func:`finish_checkers`, which also runs the
+    project-level ones.  Containment therefore has the pipeline's
+    grain: a checker crashing on one unit costs a ``check_unit`` crash
+    record for that unit only, and its other units' findings stand.
+
+    Args:
+        tracer: optional :class:`~repro.obs.Tracer` for the per-checker
+            spans and counters of :func:`finish_checkers`.
+        strict: re-raise checker crashes instead of containing them.
+        log: optional :class:`~repro.obs.EventLog`; contained crashes
+            are logged as ``checker.crash`` events.
+    """
+    # Imported here: the driver builds on this module.
+    from ..engine.driver import fused_unit_bundle
+
+    log = log if log is not None else NULL_LOG
+    checkers = list(checkers)
+    units = list(units)
+    per_unit, _ = split_checkers(checkers)
+    bundles = [fused_unit_bundle(per_unit, unit, strict=strict, log=log)
+               for unit in units]
+    return finish_checkers(
+        checkers, units, bundles,
+        tracer=tracer if tracer is not None else NULL_TRACER,
+        log=log, strict=strict)
 
 
 def enclosing_function_name(unit: TranslationUnit, line: int) -> str:

@@ -71,67 +71,15 @@ class CastChecker(Checker):
 
     name = "casts"
 
-    def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        report = self.new_report((unit,))
-        code = unit.code
-        named = 0
-        c_style = 0
-        functional = 0
-        for index, token in enumerate(code):
-            if token.kind is TokenKind.KEYWORD and token.text in NAMED_CASTS:
-                if report.emit(Finding(
-                        rule="ST.named_cast",
-                        message=f"{token.text} expression",
-                        filename=unit.filename,
-                        line=token.line,
-                        severity=Severity.MINOR,
-                        function=enclosing_function_name(unit, token.line),
-                )):
-                    named += 1
-            elif token.is_punct("(") and self._is_c_style_cast(code, index):
-                if report.emit(Finding(
-                        rule="ST.c_cast",
-                        message="C-style cast",
-                        filename=unit.filename,
-                        line=token.line,
-                        severity=Severity.MAJOR,
-                        function=enclosing_function_name(unit, token.line),
-                )):
-                    c_style += 1
-            elif (token.kind is TokenKind.KEYWORD
-                  and token.text in TYPE_KEYWORDS
-                  and index + 1 < len(code)
-                  and code[index + 1].is_punct("(")
-                  and not self._is_declaration_context(code, index)):
-                if report.emit(Finding(
-                        rule="ST.functional_cast",
-                        message=f"functional cast to {token.text}",
-                        filename=unit.filename,
-                        line=token.line,
-                        severity=Severity.MINOR,
-                        function=enclosing_function_name(unit, token.line),
-                )):
-                    functional += 1
-        narrowing = self._implicit_narrowing(unit, report)
-        report.stats.update({
-            "named_casts": named,
-            "c_style_casts": c_style,
-            "functional_casts": functional,
-            "explicit_casts": named + c_style + functional,
-            "implicit_narrowing_risks": narrowing,
-        })
-        return report
-
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
-                     sweep) -> bool:
-        """Fused registration for the cast sweeps.
+                     sweep) -> None:
+        """Cast checks on three disjoint text events: named-cast
+        keywords, ``(`` and type keywords.
 
-        The legacy main sweep's elif chain is dispatch on disjoint token
-        categories (named-cast keywords, ``(``, type keywords), so three
-        independent text events reproduce it token for token.  The
-        narrowing check was a *second* full sweep in the legacy path, so
-        its findings buffer during the shared sweep and flush at the
-        end, landing after every main-sweep finding exactly as before.
+        Narrowing initializations are recognized on the same type
+        keyword events, but their findings buffer and flush from the
+        end hook, so every ``ST.narrowing_init`` finding follows every
+        cast finding of the unit.
         """
         code = unit.code
         length = len(code)
@@ -214,7 +162,6 @@ class CastChecker(Checker):
             })
 
         sweep.at_end(finish)
-        return True
 
     # ------------------------------------------------------------------
 
@@ -310,34 +257,3 @@ class CastChecker(Checker):
         if previous.kind is TokenKind.KEYWORD and previous.text == "return":
             return False
         return True
-
-    @staticmethod
-    def _implicit_narrowing(unit: TranslationUnit,
-                            report: CheckerReport) -> int:
-        """Count `int x = <float literal>` style initializations."""
-        code = unit.code
-        count = 0
-        for index in range(len(code) - 3):
-            token = code[index]
-            if not (token.kind is TokenKind.KEYWORD
-                    and token.text in _INTEGER_TYPES):
-                continue
-            name = code[index + 1]
-            equals = code[index + 2]
-            value = code[index + 3]
-            if (name.kind is TokenKind.IDENTIFIER and equals.is_punct("=")
-                    and value.kind is TokenKind.NUMBER
-                    and ("." in value.text or "e" in value.text.lower())
-                    and not value.text.lower().startswith("0x")):
-                if report.emit(Finding(
-                        rule="ST.narrowing_init",
-                        message=(f"integer variable {name.text!r} "
-                                 f"initialized with floating literal "
-                                 f"{value.text}"),
-                        filename=unit.filename,
-                        line=token.line,
-                        severity=Severity.MAJOR,
-                        function=enclosing_function_name(unit, token.line),
-                )):
-                    count += 1
-        return count

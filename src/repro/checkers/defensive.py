@@ -16,7 +16,7 @@ functions they call.  Both properties are approximated statically:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Set
 
 from ..lang.cppmodel import FunctionInfo, TranslationUnit
 from ..lang.tokens import Token, TokenKind
@@ -49,53 +49,25 @@ class DefensiveChecker(Checker):
 
     name = "defensive"
 
-    def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        report = self.new_report((unit,))
-        guardable = 0
-        guarded = 0
-        for function in unit.functions:
-            riskful = [parameter for parameter in function.parameters
-                       if parameter.name]
-            if not riskful:
-                continue
-            guardable += 1
-            if self._validates_parameters(unit, function):
-                guarded += 1
-            else:
-                report.emit(Finding(
-                    rule="DF.unvalidated_params",
-                    message=(f"function {function.name!r} uses its "
-                             f"{len(riskful)} parameter(s) without a "
-                             f"leading validity check"),
-                    filename=unit.filename,
-                    line=function.start_line,
-                    severity=Severity.MAJOR,
-                    function=function.qualified_name,
-                ))
-        unchecked = self._unchecked_returns(unit, report)
-        report.stats.update({
-            "guardable_functions": guardable,
-            "guarded_functions": guarded,
-            "unchecked_return_calls": unchecked,
-        })
-        self.finalize(report)
-        return report
-
     def finalize(self, report: CheckerReport) -> None:
         report.stats["validation_ratio"] = self.ratio(
             report.stats.get("guarded_functions", 0),
             report.stats.get("guardable_functions", 0))
 
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
-                     sweep) -> bool:
-        """Fused registration for the defensive checks.
+                     sweep) -> None:
+        """Parameter validation per function; unchecked returns on
+        ``(`` events.
 
         Parameter validation rides the shared per-function phase (the
         body slice is handed in, so ``body_tokens`` is not re-cut).
         Unchecked-return candidates are recognized on ``(`` events
-        during the token sweep but buffered: the legacy path emits them
-        only after every per-function finding, so they flush from the
-        end hook.
+        during the token sweep but buffered and flushed from the end
+        hook, so every ``DF.unchecked_return`` finding follows every
+        ``DF.unvalidated_params`` finding of the unit.  Only functions
+        defined in the same unit are classified as returning a value
+        (their return type is known from the definition), which is
+        what a file-local static analysis can prove.
         """
         code = unit.code
         counts = {"guardable": 0, "guarded": 0}
@@ -133,7 +105,7 @@ class DefensiveChecker(Checker):
             if not riskful:
                 return
             counts["guardable"] += 1
-            if self._validates_parameters(unit, function, body):
+            if self._validates_parameters(function, body):
                 counts["guarded"] += 1
             else:
                 report.emit(Finding(
@@ -160,25 +132,17 @@ class DefensiveChecker(Checker):
             })
             self.finalize(report)
         sweep.at_end(finish)
-        return True
 
     # ------------------------------------------------------------------
 
-    def _validates_parameters(self, unit: TranslationUnit,
-                              function: FunctionInfo,
-                              body: Optional[List[Token]] = None) -> bool:
-        """True when the body's leading region checks any parameter.
-
-        ``body`` is the precomputed token slice when the fused sweep
-        already cut it; omitted, it is sliced here.
-        """
+    def _validates_parameters(self, function: FunctionInfo,
+                              body: List[Token]) -> bool:
+        """True when the body's leading region checks any parameter."""
         parameter_names: Set[str] = {parameter.name
                                      for parameter in function.parameters
                                      if parameter.name}
         if not parameter_names:
             return True
-        if body is None:
-            body = unit.body_tokens(function)
         statements = self._leading_statements(body)
         for statement in statements:
             if self._is_validation_statement(statement, parameter_names):
@@ -234,44 +198,6 @@ class DefensiveChecker(Checker):
         return False
 
     # ------------------------------------------------------------------
-
-    def _unchecked_returns(self, unit: TranslationUnit,
-                           report: CheckerReport) -> int:
-        """Count bare call-statements to functions returning non-void.
-
-        Only functions defined in the same unit are classified (we know
-        their return type from the definition head); this mirrors what a
-        file-local static analysis can prove.
-        """
-        returning: Set[str] = set()
-        for function in unit.functions:
-            if function.return_count > 0 and self._returns_value(unit,
-                                                                 function):
-                returning.add(function.name)
-        if not returning:
-            return 0
-        count = 0
-        code = unit.code
-        for index in range(1, len(code) - 1):
-            token = code[index]
-            if token.kind is not TokenKind.IDENTIFIER \
-                    or token.text not in returning:
-                continue
-            previous = code[index - 1]
-            after = code[index + 1]
-            starts_statement = previous.kind is TokenKind.PUNCT \
-                and previous.text in (";", "{", "}")
-            if starts_statement and after.is_punct("("):
-                if report.emit(Finding(
-                        rule="DF.unchecked_return",
-                        message=(f"return value of {token.text!r} is "
-                                 f"discarded"),
-                        filename=unit.filename,
-                        line=token.line,
-                        severity=Severity.MINOR,
-                )):
-                    count += 1
-        return count
 
     @staticmethod
     def _returns_value(unit: TranslationUnit,

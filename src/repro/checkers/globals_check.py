@@ -24,17 +24,11 @@ class GlobalVariableChecker(Checker):
 
     name = "globals"
 
-    def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        report = self.new_report((unit,))
-        self._check_into(unit, report)
-        return report
-
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
-                     sweep) -> bool:
+                     sweep) -> None:
         """Global-variable evidence comes from the parsed model alone,
         so the check runs whole from the end hook."""
         sweep.at_end(lambda: self._check_into(unit, report))
-        return True
 
     def _check_into(self, unit: TranslationUnit,
                     report: CheckerReport) -> None:

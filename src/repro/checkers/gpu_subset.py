@@ -9,8 +9,8 @@ subset" for CUDA kernels, with two front ends:
 
 * :meth:`GpuSubsetChecker.check_program` — precise rules on the strict
   MiniC AST of a kernel module (the kernels the GPU emulator runs);
-* :meth:`GpuSubsetChecker.check_unit` — fuzzy rules on arbitrary ``.cu``
-  translation units (the corpus).
+* :meth:`GpuSubsetChecker.unit_visitor` — fuzzy rules on arbitrary
+  ``.cu`` translation units (the corpus), also run by ``check_unit``.
 
 Subset rules (ids ``GS1``-``GS7``):
 
@@ -367,18 +367,13 @@ class GpuSubsetChecker(Checker):
     # ------------------------------------------------------------------
     # fuzzy front end (.cu translation units)
 
-    def check_unit(self, unit: cppmodel.TranslationUnit) -> CheckerReport:
-        """Fuzzy audit of a ``.cu`` unit: GS4/GS5 plus migration stats."""
-        report = self.new_report((unit,))
-        self._check_into(unit, report)
-        return report
-
     def unit_visitor(self, unit: cppmodel.TranslationUnit,
-                     report: CheckerReport, sweep) -> bool:
-        """The fuzzy audit reads kernel metadata from the parsed model,
-        so it runs whole from the end hook."""
+                     report: CheckerReport, sweep) -> None:
+        """Fuzzy audit of a ``.cu`` unit: GS4/GS5 plus migration stats.
+
+        It reads kernel metadata from the parsed model, so it runs
+        whole from the end hook."""
         sweep.at_end(lambda: self._check_into(unit, report))
-        return True
 
     def _check_into(self, unit: cppmodel.TranslationUnit,
                     report: CheckerReport) -> None:

@@ -107,38 +107,25 @@ class MisraChecker(Checker):
     #: it flags deviations naming rules no checker registered.
     audits_unknown_deviations = True
 
-    def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        report = self.new_report((unit,))
-        self._check_banned_headers(unit, report)
-        self._check_octal_constants(unit, report)
-        self._check_unions(unit, report)
-        for function in unit.functions:
-            body = unit.body_tokens(function)
-            self._check_function(unit, function, body, report)
-        self._summarize(unit, report)
-        return report
-
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
-                     sweep) -> bool:
-        """Fused registration, emission-ordered exactly as
-        :meth:`check_unit`: banned headers now, octal constants during
-        the token sweep, unions before the function phase, the
-        function-level rule battery per function, stats at the end."""
+                     sweep) -> None:
+        """Banned headers now, octal constants during the token sweep,
+        unions before the function phase, the function-level rule
+        battery per function, stats at the end."""
         self._check_banned_headers(unit, report)
         sweep.on_kind(TokenKind.NUMBER,
-                      lambda index, token, _unit=unit, _report=report:
-                      self._octal_token(_unit, token, _report))
+                      lambda index, token:
+                      self._octal_token(unit, token, report))
         sweep.at_functions(lambda: self._check_unions(unit, report))
         sweep.on_function(lambda function, body:
                           self._check_function(unit, function, body,
                                                report))
         sweep.at_end(lambda: self._summarize(unit, report))
-        return True
 
     def _check_function(self, unit: TranslationUnit,
                         function: FunctionInfo, body: List[Token],
                         report: CheckerReport) -> None:
-        """The per-function rule battery, shared by both entry points.
+        """The per-function rule battery.
 
         The body is scanned up front — identifier spellings and keyword
         positions — so the token-driven rules below walk the short
@@ -187,16 +174,10 @@ class MisraChecker(Checker):
                     severity=Severity.MAJOR,
                 ))
 
-    def _check_octal_constants(self, unit: TranslationUnit,
-                               report: CheckerReport) -> None:
-        for token in unit.code:
-            if token.kind is TokenKind.NUMBER:
-                self._octal_token(unit, token, report)
-
     @staticmethod
     def _octal_token(unit: TranslationUnit, token: Token,
                      report: CheckerReport) -> None:
-        """M7.1 for one NUMBER token (also the fused-sweep event)."""
+        """M7.1 for one NUMBER token."""
         # Digit separators don't change the base: 0'123' is octal.
         digits = token.text.replace("'", "")
         if (len(digits) > 1 and digits.startswith("0")

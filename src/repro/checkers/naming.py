@@ -56,17 +56,11 @@ class NamingChecker(Checker):
 
     name = "naming"
 
-    def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        report = self.new_report((unit,))
-        self._check_into(unit, report)
-        return report
-
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
-                     sweep) -> bool:
+                     sweep) -> None:
         """Naming checks read only the parsed model (classes, globals,
         functions), so the whole battery runs from the end hook."""
         sweep.at_end(lambda: self._check_into(unit, report))
-        return True
 
     def _check_into(self, unit: TranslationUnit,
                     report: CheckerReport) -> None:

@@ -69,17 +69,11 @@ class StyleChecker(Checker):
                 pruned.add_source(path, source)
         return pruned
 
-    def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        report = self.new_report((unit,))
-        self._check_into(unit, report)
-        return report
-
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
-                     sweep) -> bool:
+                     sweep) -> None:
         """Style checks read the registered raw source, not the token
         stream, so the battery runs whole from the end hook."""
         sweep.at_end(lambda: self._check_into(unit, report))
-        return True
 
     def _check_into(self, unit: TranslationUnit,
                     report: CheckerReport) -> None:

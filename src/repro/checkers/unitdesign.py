@@ -15,12 +15,13 @@ Section 3.5 walks through the ten principles and reports, for Apollo:
 
 This checker produces one finding stream and one statistics block covering
 all ten items.  Recursion detection is project-level (indirect recursion
-needs the whole call graph), so :meth:`check_project` overrides the default.
+needs the whole call graph), so :meth:`finish_from_units` overrides the
+default.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple, Union
+from typing import Dict, Iterator, List, Set, Tuple, Union
 
 from ..lang.cppmodel import TYPE_KEYWORDS, FunctionInfo, TranslationUnit
 from ..lang.summary import UnitSummary, unit_summaries
@@ -63,26 +64,15 @@ class UnitDesignChecker(Checker):
 
     name = "unit_design"
 
-    def check_unit(self, unit: TranslationUnit) -> CheckerReport:
-        report = self.new_report((unit,))
-        counts = {"multi_exit": 0, "dynamic": 0, "pointer": 0, "goto": 0}
-        for function in unit.functions:
-            body = unit.body_tokens(function)
-            self._check_function(unit, function, body, counts, report)
-        self._finish_unit(unit, counts, report)
-        return report
-
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
-                     sweep) -> bool:
-        """Fused registration: the per-function battery rides the shared
-        function phase; hidden-flow findings and the statistics block
-        come last, exactly as in :meth:`check_unit`."""
+                     sweep) -> None:
+        """The per-function battery rides the shared function phase;
+        hidden-flow findings and the statistics block come last."""
         counts = {"multi_exit": 0, "dynamic": 0, "pointer": 0, "goto": 0}
         sweep.on_function(lambda function, body:
                           self._check_function(unit, function, body,
                                                counts, report))
         sweep.at_end(lambda: self._finish_unit(unit, counts, report))
-        return True
 
     def _check_function(self, unit: TranslationUnit,
                         function: FunctionInfo, body: List[Token],
@@ -147,12 +137,6 @@ class UnitDesignChecker(Checker):
             "mutable_globals": len(unit.mutable_globals),
         })
 
-    def check_project(self,
-                      units: Iterable[TranslationUnit]) -> CheckerReport:
-        units = list(units)
-        return self.finish_from_units(
-            units, [self.check_unit(unit) for unit in units])
-
     def finish_from_units(self,
                           units: List[Union[TranslationUnit, UnitSummary]],
                           unit_reports: List[CheckerReport]
@@ -160,8 +144,8 @@ class UnitDesignChecker(Checker):
         """Merge the per-unit reports, then run the project-wide
         call-graph recursion pass — the part that genuinely needs every
         unit at once, and only their summaries.  Overriding this (rather
-        than only :meth:`check_project`) lets the pipeline distribute
-        and cache this checker's per-unit portion like any other."""
+        than :meth:`check_project`) lets the pipeline distribute and
+        cache this checker's per-unit portion like any other."""
         units = unit_summaries(units)
         report = self.new_report(units, flag_deviations=False)
         for unit_report in unit_reports:

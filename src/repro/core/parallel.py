@@ -11,16 +11,14 @@ tests, is that a parallel run is *result-identical* to the serial run:
   reassembled in that order, so checker reports merge in exactly the
   serial order;
 * only checkers whose project report can be replayed from per-unit
-  reports — the default per-unit
-  :meth:`~repro.checkers.base.Checker.check_project`, or an explicit
-  :meth:`~repro.checkers.base.Checker.finish_from_units` override (unit
-  design) — are swept in the task; genuinely project-level checkers
-  (architecture) see all units at once, exactly as in a serial run.
+  reports (:func:`~repro.checkers.base.split_checkers`) are swept in
+  the task; genuinely project-level checkers (architecture) see all
+  units at once, exactly as in a serial run.
 
 Each unit is swept by the fused single-sweep engine
 (:func:`repro.engine.driver.fused_unit_bundle`): one token walk per
-unit dispatches to every registered checker, byte-identical to running
-each checker's ``check_unit`` in sequence.  The full
+unit dispatches to every checker's sweep visitor, each checker's only
+analysis code.  The full
 :class:`TranslationUnit` is dropped right after its sweep; a task
 returns only the token-free :class:`ParseOutcome` (the file's compact
 :class:`~repro.lang.summary.UnitSummary`, which is also what the
@@ -42,8 +40,8 @@ them; every payload (tasks, parse outcomes, checker reports, worker
 tracers) is plain-dataclass picklable.
 
 The engine is additionally *fault-isolated* (see :func:`run_tasks` and
-:func:`check_unit_bundle`): a dead or hung worker costs one serial
-re-run of its chunk, and a crashing checker costs one
+:func:`~repro.engine.driver.fused_unit_bundle`): a dead or hung worker
+costs one serial re-run of its chunk, and a crashing checker costs one
 ``internal.checker_crash`` finding on the unit it crashed on — never
 the run.
 """
@@ -59,11 +57,10 @@ from ..checkers.base import (
     Checker,
     CheckerCrash,
     CheckerReport,
-    crash_report,
     make_crash,
 )
 from ..engine.driver import fused_unit_bundle
-from ..errors import ConfigError, ReproError, SourceError
+from ..errors import ConfigError, SourceError
 from ..lang.cppmodel import TranslationUnit, parse_translation_unit
 from ..lang.summary import UnitSummary, summarize_unit
 from ..obs import NULL_LOG, NULL_TRACER, BufferLog, EventLog, Span, Tracer
@@ -388,65 +385,12 @@ def run_check_task(task: CheckTask
             log.events if task.logged else None)
 
 
-def check_unit_bundle(checkers: Sequence[Checker], unit: TranslationUnit,
-                      strict: bool = False,
-                      log: EventLog = NULL_LOG) -> Dict[str, CheckerReport]:
-    """The serial (and cache-fill) equivalent of one unit's fan-out.
-
-    Containment is per checker *and* per unit: a checker that raises a
-    non-:class:`~repro.errors.ReproError` on this unit contributes a
-    :func:`~repro.checkers.base.crash_report` for it, and both the other
-    checkers on this unit and this checker on other units are
-    unaffected.  ``strict=True`` re-raises instead; a contained crash
-    is logged as a ``checker.crash`` event.
-    """
-    bundle: Dict[str, CheckerReport] = {}
-    for checker in checkers:
-        try:
-            bundle[checker.name] = checker.check_unit(unit)
-        except ReproError:
-            raise
-        except Exception as error:
-            if strict:
-                raise
-            log.error("checker.crash", checker=checker.name,
-                      stage="check_unit", path=unit.filename,
-                      error=f"{type(error).__name__}: {error}")
-            bundle[checker.name] = crash_report(checker.name, make_crash(
-                checker.name, "check_unit", error, path=unit.filename))
-    return bundle
-
-
 def bundle_has_crash(bundle: Dict[str, CheckerReport]) -> bool:
     """True when any report in a per-unit bundle contains a crash.
 
     Crashed bundles are kept out of the result cache: the fault may be
     transient (and, under ``--strict``, must reproduce, not replay)."""
     return any(report.crashes for report in bundle.values())
-
-
-def split_checkers(checkers: Sequence[Checker]
-                   ) -> Tuple[List[Checker], List[Checker]]:
-    """Partition into (per-unit parallelizable, project-level) checkers.
-
-    A checker that keeps the base class's :meth:`check_project` is a
-    pure per-unit merge + finalize, which the engine can replay from
-    distributed (or cached) per-unit reports.  A checker that overrides
-    :meth:`finish_from_units` has declared its own replay: its per-unit
-    portion distributes, and the override runs the project-wide
-    remainder over the merged result (unit design's recursion pass).
-    Anything else overriding :meth:`check_project` needs the whole unit
-    set and stays on the serial path.
-    """
-    def distributable(checker: Checker) -> bool:
-        return (type(checker).check_project is Checker.check_project
-                or type(checker).finish_from_units
-                is not Checker.finish_from_units)
-
-    per_unit = [checker for checker in checkers if distributable(checker)]
-    project = [checker for checker in checkers
-               if not distributable(checker)]
-    return per_unit, project
 
 
 # ----------------------------------------------------------------------

@@ -53,9 +53,8 @@ from ..checkers.base import (
     Checker,
     CheckerCrash,
     CheckerReport,
-    crash_report,
-    make_crash,
-    require_unique_checker,
+    finish_checkers,
+    split_checkers,
 )
 from ..checkers.casts import CastChecker
 from ..checkers.defensive import DefensiveChecker
@@ -65,7 +64,7 @@ from ..checkers.misra import MisraChecker
 from ..checkers.naming import NamingChecker
 from ..checkers.style import StyleChecker
 from ..checkers.unitdesign import UnitDesignChecker
-from ..errors import ConfigError, ReproError
+from ..errors import ConfigError
 from ..iso26262.asil import Asil
 from ..iso26262.compliance import (
     ComplianceEngine,
@@ -93,7 +92,6 @@ from .parallel import (
     graft_worker_trace,
     run_parse_task,
     run_tasks,
-    split_checkers,
     worker_count,
 )
 
@@ -271,7 +269,7 @@ class AssessmentPipeline:
                 project = self._replay_project(previous)
             else:
                 project = self._project_stages(
-                    sources, checkers, per_unit, units, bundles, crashes)
+                    sources, checkers, units, bundles, crashes)
             root.set("units", len(units))
             root.set("jobs", self.jobs)
         reports = project.reports
@@ -293,14 +291,18 @@ class AssessmentPipeline:
         )
 
     def _project_stages(self, sources: Mapping[str, str],
-                        checkers: List[Checker], per_unit: List[Checker],
+                        checkers: List[Checker],
                         units: List[UnitSummary],
                         bundles: Dict[str, Bundle],
                         crashes: List[CheckerCrash]) -> _ProjectStages:
         """Stages 2–6, computed from this run's per-file outputs."""
         tracer = self.tracer
         modules = self._measure_modules(sources, units)
-        reports = self._run_checkers(checkers, per_unit, units, bundles)
+        with tracer.span("checkers"):
+            reports = finish_checkers(
+                checkers, units,
+                [bundles[unit.filename] for unit in units],
+                tracer=tracer, log=self.log, strict=self.config.strict)
         for name in reports:
             crashes.extend(reports[name].crashes)
         if crashes:
@@ -623,57 +625,6 @@ class AssessmentPipeline:
             for checker in checkers:
                 checker.profile = self.config.rules
         return checkers
-
-    def _run_checkers(self, checkers: List[Checker],
-                      per_unit: List[Checker], units: List[UnitSummary],
-                      bundles: Dict[str, Bundle]
-                      ) -> Dict[str, CheckerReport]:
-        """The checkers' project-level finish, over unit summaries.
-
-        Per-unit checkers are replayed from the per-unit bundles the
-        parse stage swept or found cached, merged in sorted-unit order
-        and handed to each checker's ``finish_from_units`` (for most,
-        exactly the base ``check_project``: merge + finalize).
-        Project-level checkers run serially over all units, as always.
-        """
-        tracer = self.tracer
-        per_unit_names = {checker.name for checker in per_unit}
-        strict = self.config.strict
-        reports: Dict[str, CheckerReport] = {}
-        with tracer.span("checkers"):
-            for checker in checkers:
-                require_unique_checker(checker, reports)
-                with tracer.span("checker", name=checker.name) as span:
-                    try:
-                        if checker.name in per_unit_names:
-                            stage = "finalize"
-                            report = checker.finish_from_units(
-                                units,
-                                [bundles[unit.filename][checker.name]
-                                 for unit in units])
-                        else:
-                            stage = "check_project"
-                            report = checker.check_project(units)
-                    except ReproError:
-                        raise
-                    except Exception as error:
-                        if strict:
-                            raise
-                        self.log.error(
-                            "checker.crash", checker=checker.name,
-                            stage=stage, span=span.id,
-                            error=f"{type(error).__name__}: {error}")
-                        report = crash_report(checker.name, make_crash(
-                            checker.name, stage, error))
-                        tracer.metrics.counter(
-                            "pipeline.checker_crashes").inc()
-                        span.set("crashed", 1)
-                    span.set("findings", report.finding_count)
-                tracer.metrics.counter("checker.findings",
-                                       checker=checker.name).inc(
-                    report.finding_count)
-                reports[checker.name] = report
-        return reports
 
     # ------------------------------------------------------------------
     # stage 4: evidence

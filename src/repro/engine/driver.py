@@ -1,32 +1,30 @@
 """The fused checker driver: all checkers over one unit in one sweep.
 
-:func:`fused_unit_bundle` is the drop-in successor of
-:func:`repro.core.parallel.check_unit_bundle`: same signature, same
-``{checker name: per-unit report}`` result, byte-identical reports —
-but instead of calling ``checker.check_unit(unit)`` N times (N
-redundant walks of ``unit.tokens`` / ``unit.code`` /
-``body_tokens(function)``), it builds one :class:`~repro.engine.
-interests.UnitSweep`, lets every checker register its interests, and
-walks the unit once.  Checkers that do not implement
-:meth:`~repro.checkers.base.Checker.unit_visitor` (external
-``extra_checkers``) transparently fall back to their ``check_unit``.
+:func:`fused_unit_bundle` returns one unit's ``{checker name: per-unit
+report}`` bundle.  It builds one :class:`~repro.engine.interests.
+UnitSweep`, lets every checker's
+:meth:`~repro.checkers.base.Checker.unit_visitor` register its
+interests, and walks the unit once.  A checker's visitor is its only
+analysis code, and :meth:`~repro.checkers.base.Checker.check_unit` runs
+the same visitor on a sweep of its own, so each report here equals that
+checker's ``check_unit(unit)``.  External checkers that override only
+``check_unit`` are called after the shared sweep.
 
-Crash containment matches the legacy per-checker contract: a checker
-whose handler raises outside the :class:`~repro.errors.ReproError`
-hierarchy is contained to a ``crash_report`` for this unit while every
-other checker's report is unaffected.  Because a fused sweep
-interleaves checkers, containment is retry-based: the sweep aborts,
-the crashed checker is dropped, and the unit is re-swept with the
-survivors — their reports are rebuilt from scratch, which discards the
-aborted sweep's partial emissions exactly as the legacy path discards
-a crashed ``check_unit``'s partial report.  Crashes are rare (fault
-injection and genuine bugs), so the retry costs nothing in the steady
-state.
+Crash containment is per checker per unit: a checker whose handler
+raises outside the :class:`~repro.errors.ReproError` hierarchy is
+contained to a ``crash_report`` for this unit while every other
+checker's report is unaffected.  Because a fused sweep interleaves
+checkers, containment is retry-based: the sweep aborts, the crashed
+checker is dropped, and the unit is re-swept with the survivors — their
+reports are rebuilt from scratch, which discards the aborted sweep's
+partial emissions, the crashed checker's included.  Crashes are rare
+(fault injection and genuine bugs), so the retry costs nothing in the
+steady state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..checkers.base import (
     Checker,
@@ -48,11 +46,10 @@ def fused_unit_bundle(checkers: Sequence[Checker], unit: TranslationUnit,
                       ) -> Dict[str, CheckerReport]:
     """Run every checker over one unit in a single fused sweep.
 
-    Returns ``{checker name: report}`` with each report byte-identical
-    to ``checker.check_unit(unit)``.  ``strict=True`` re-raises checker
+    Returns ``{checker name: report}`` with each report equal to
+    ``checker.check_unit(unit)``.  ``strict=True`` re-raises checker
     crashes instead of containing them; a contained crash is logged as
-    a ``checker.crash`` event at stage ``"check_unit"``, matching the
-    legacy bundle's containment exactly.
+    a ``checker.crash`` event at stage ``"check_unit"``.
     """
     checkers = list(checkers)
     active = checkers
@@ -95,14 +92,12 @@ def _sweep_unit(checkers: List[Checker], unit: TranslationUnit,
     for checker in checkers:
         sweep.owner = checker
         if type(checker).unit_visitor is Checker.unit_visitor:
-            # No visitor: the legacy check_unit runs after the sweep.
+            # No visitor: its own check_unit runs after the sweep.
             fallback.append(checker)
             continue
         report = checker.new_report((unit,))
-        if checker.unit_visitor(unit, report, sweep):
-            reports[checker.name] = report
-        else:
-            fallback.append(checker)
+        checker.unit_visitor(unit, report, sweep)
+        reports[checker.name] = report
     sweep.run()
     for checker in fallback:
         sweep.owner = checker

@@ -8,14 +8,14 @@ code tokens **once**, dispatching every event to every interested
 checker.  This replaces N independent full-token sweeps (one per
 checker) with one shared sweep plus O(1) dict dispatch per token.
 
-Emission-order contract (what makes fused output byte-identical to the
-per-checker path): for any single checker, events fire in the phase
+Emission order: for any single checker, events fire in the phase
 order *registration → token sweep (code order) → functions-begin hooks
-→ per-function callbacks (declaration order) → end hooks*.  A checker
-whose legacy ``check_unit`` emits in that same shape can register its
-pieces directly; work whose legacy position differs (e.g. a second
-full-code sweep that ran after the per-function loop) buffers its
-findings and flushes them from an end hook.
+→ per-function callbacks (declaration order) → end hooks*, whether the
+sweep is shared with other checkers or is the checker's own
+(:meth:`~repro.checkers.base.Checker.check_unit`).  Work whose findings
+must land later than its events fire (e.g. casts' narrowing findings,
+reported after every cast finding) buffers them and flushes them from
+an end hook.
 
 Every registered callable is tagged with the checker that owns it, so
 the driver can attribute a mid-sweep crash to the offending checker

@@ -4,6 +4,7 @@ from repro.checkers import CastChecker, DefensiveChecker, \
     GlobalVariableChecker
 from repro.checkers.defensive import project_validation_ratio
 from repro.lang import parse_translation_unit
+from repro.rules import RuleProfile
 
 
 def unit_of(source, filename="t.cc"):
@@ -68,6 +69,23 @@ class TestCastChecker:
         assert report.stats["explicit_casts"] == 2
 
 
+    def test_narrowing_findings_follow_every_cast_finding(self):
+        report = self.check(
+            "void f(float x) {\n"
+            "  int a = 2.5;\n"
+            "  int b = (int)x;\n"
+            "  int c = static_cast<int>(x);\n"
+            "  long d = 1e3;\n"
+            "}")
+        rules = [finding.rule for finding in report.findings]
+        assert rules == ["ST.c_cast", "ST.named_cast",
+                         "ST.narrowing_init", "ST.narrowing_init"]
+        # Source order would interleave them: the first narrowing
+        # initialization precedes both casts.
+        assert [finding.line for finding in report.findings] == \
+            [3, 4, 2, 5]
+
+
 class TestDefensiveChecker:
     def check(self, source):
         return DefensiveChecker().check_project([unit_of(source)])
@@ -111,6 +129,20 @@ class TestDefensiveChecker:
             "void caller(int x) { int r = status(x); }")
         assert report.stats["unchecked_return_calls"] == 0
 
+    def test_unchecked_returns_follow_every_unvalidated_function(self):
+        report = self.check(
+            "int helper(int v) { return v + 1; }\n"
+            "void caller(int w) {\n"
+            "  helper(w);\n"
+            "}\n"
+            "int later(int z) { return z * 2; }\n")
+        located = [(finding.rule, finding.line)
+                   for finding in report.findings]
+        assert located == [("DF.unvalidated_params", 1),
+                           ("DF.unvalidated_params", 2),
+                           ("DF.unvalidated_params", 5),
+                           ("DF.unchecked_return", 3)]
+
     def test_project_ratio_helper(self):
         reports = [self.check("int f(int* p) { if (p == 0) { return 0; } "
                               "return 1; }"),
@@ -145,3 +177,31 @@ class TestGlobalVariableChecker:
         report = self.check("extern int g_a;\nstatic int g_b = 2;")
         assert report.stats["extern_globals"] == 1
         assert report.stats["static_globals"] == 1
+
+
+class TestBufferedRuleGating:
+    """Buffered findings feed their statistics only when they land."""
+
+    PROFILE = RuleProfile(disable=("ST.narrowing_init",
+                                   "DF.unchecked_return"))
+
+    def check(self, checker, source):
+        checker.profile = self.PROFILE
+        return checker.check_project([unit_of(source)])
+
+    def test_disabled_narrowing_is_not_counted(self):
+        report = self.check(CastChecker(),
+                            "void f(float x) { int a = 2.5; "
+                            "int b = (int)x; }")
+        assert report.stats["implicit_narrowing_risks"] == 0
+        assert report.stats["c_style_casts"] == 1
+        assert [f.rule for f in report.findings] == ["ST.c_cast"]
+
+    def test_disabled_unchecked_return_is_not_counted(self):
+        report = self.check(
+            DefensiveChecker(),
+            "int status(int x) { if (x) { return 1; } return 0; }\n"
+            "void caller(int x) { status(x); }")
+        assert report.stats["unchecked_return_calls"] == 0
+        assert [f.rule for f in report.findings] == \
+            ["DF.unvalidated_params"]

@@ -20,8 +20,7 @@ from repro.core import (
 )
 from repro.core.cache import CHECK_TAG, PARSE_TAG
 from repro.core.cli import main
-from repro.core.parallel import split_checkers
-from repro.checkers.base import Checker
+from repro.checkers.base import Checker, split_checkers
 from repro.checkers.style import StyleChecker, StyleConfig
 from repro.corpus import apollo_spec, generate_corpus
 from repro.errors import ConfigError

@@ -1,11 +1,12 @@
-"""The fused single-sweep engine's contract: byte-identical output.
+"""The fused single-sweep engine: one sweep, every checker, no crosstalk.
 
-One token walk per unit dispatches to every registered checker;
-everything a checker emits — findings, order, stats, suppressions —
-must match running its ``check_unit`` alone.  These tests pin that
-equivalence on the synthetic Apollo corpus, plus the engine's crash
-containment, the legacy fallback for visitor-less checkers, and the
-function-line index backing ``enclosing_function_name``.
+A checker's sweep visitor is its only analysis code; ``check_unit``
+runs it on a sweep of its own.  These tests pin that checkers sharing
+one sweep do not interfere (each report in the shared bundle equals
+the checker's own ``check_unit``), that the public ``run_checkers`` API
+equals the pipeline, the engine's crash containment, the fallback for
+visitor-less checkers, and the function-line index backing
+``enclosing_function_name``.
 """
 
 from typing import Optional
@@ -19,9 +20,9 @@ from repro.checkers.base import (
     Severity,
     enclosing_function_name,
     run_checkers,
+    split_checkers,
 )
 from repro.core import AssessmentPipeline, PipelineConfig
-from repro.core.parallel import check_unit_bundle, split_checkers
 from repro.corpus import apollo_spec, generate_corpus
 from repro.engine.driver import fused_unit_bundle
 from repro.engine.index import FunctionLineIndex, function_line_index
@@ -44,21 +45,18 @@ def builtin_checkers(sources):
 
 
 class TestByteIdentical:
-    def test_bundles_match_legacy_per_checker_path(self, corpus_sources,
-                                                   units):
+    def test_shared_bundle_equals_own_check_unit(self, corpus_sources,
+                                                 units):
         per_unit, _ = split_checkers(builtin_checkers(corpus_sources))
-        reference = builtin_checkers(corpus_sources)
-        legacy_per_unit, _ = split_checkers(reference)
+        alone, _ = split_checkers(builtin_checkers(corpus_sources))
         for unit in units:
-            fused = fused_unit_bundle(per_unit, unit)
-            legacy = check_unit_bundle(legacy_per_unit, unit)
-            assert set(fused) == set(legacy), unit.filename
-            for name in legacy:
-                assert fused[name] == legacy[name], \
-                    f"{unit.filename}: {name}"
+            bundle = fused_unit_bundle(per_unit, unit)
+            assert list(bundle) == [checker.name for checker in per_unit]
+            for checker in alone:
+                assert bundle[checker.name] == checker.check_unit(unit), \
+                    f"{unit.filename}: {checker.name}"
 
-    def test_pipeline_matches_legacy_run_checkers(self, corpus_sources,
-                                                  units):
+    def test_pipeline_matches_run_checkers(self, corpus_sources, units):
         result = AssessmentPipeline(PipelineConfig()).run(corpus_sources)
         reference = run_checkers(builtin_checkers(corpus_sources), units)
         assert set(result.reports) == set(reference)
@@ -67,11 +65,15 @@ class TestByteIdentical:
 
     def test_every_builtin_per_unit_checker_registers(self,
                                                       corpus_sources):
-        per_unit, project = split_checkers(
-            builtin_checkers(corpus_sources))
+        checkers = builtin_checkers(corpus_sources)
+        per_unit, project = split_checkers(checkers)
         for checker in per_unit:
             assert type(checker).unit_visitor \
                 is not Checker.unit_visitor, checker.name
+        for checker in checkers:
+            # The visitor is the only per-unit implementation.
+            assert type(checker).check_unit is Checker.check_unit, \
+                checker.name
         assert [checker.name for checker in project] == ["architecture"]
 
 
@@ -98,7 +100,7 @@ class _SweepCrasher(Checker):
     def check_unit(self, unit: TranslationUnit) -> CheckerReport:
         raise AssertionError("engine should use the visitor")
 
-    def unit_visitor(self, unit, report, sweep) -> bool:
+    def unit_visitor(self, unit, report, sweep) -> None:
         def on_punct(index, token):
             self._seen += 1
             if self._seen >= self.fuse:
@@ -108,10 +110,50 @@ class _SweepCrasher(Checker):
                 filename=unit.filename, line=token.line,
                 severity=Severity.INFO))
         sweep.on_text(";", on_punct)
-        return True
+
+
+class _NoAnalysis(Checker):
+    """Overrides neither ``unit_visitor`` nor ``check_unit``."""
+
+    name = "no_analysis"
+
+
+class _VisitorOnly(Checker):
+    """A visitor that, like every builtin, returns nothing."""
+
+    name = "visitor_only"
+
+    def unit_visitor(self, unit, report, sweep) -> None:
+        sweep.at_end(lambda: report.emit(Finding(
+            rule="test.seen", message="unit seen",
+            filename=unit.filename)))
 
 
 class TestFallbackAndContainment:
+    def test_visitor_return_value_is_not_consulted(self, units):
+        unit = units[0]
+        bundle = fused_unit_bundle([_VisitorOnly()], unit)
+        assert [f.rule for f in bundle["visitor_only"].findings] == \
+            ["test.seen"]
+        assert bundle["visitor_only"] == _VisitorOnly().check_unit(unit)
+
+    def test_checker_without_analysis_is_contained(self, units):
+        unit = units[0]
+        report = fused_unit_bundle([_NoAnalysis()], unit)["no_analysis"]
+        assert [(crash.stage, crash.exc_type, crash.path)
+                for crash in report.crashes] == \
+            [("check_unit", "NotImplementedError", unit.filename)]
+        assert [f.rule for f in report.findings] == \
+            ["internal.checker_crash"]
+        assert run_checkers([_NoAnalysis()], [unit])["no_analysis"] == \
+            report
+
+    def test_checker_without_analysis_raises_under_strict(self, units):
+        with pytest.raises(NotImplementedError):
+            fused_unit_bundle([_NoAnalysis()], units[0], strict=True)
+        with pytest.raises(NotImplementedError):
+            run_checkers([_NoAnalysis()], units[:1], strict=True)
+
     def test_visitorless_checker_takes_legacy_path(self, units):
         unit = units[0]
         bundle = fused_unit_bundle([_VisitorLess()], unit)

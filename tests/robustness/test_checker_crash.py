@@ -3,9 +3,11 @@ hierarchy degrades the run instead of aborting it."""
 
 import pytest
 
-from repro.checkers.base import Checker, CheckerReport, run_checkers
+from repro.checkers.base import Checker, CheckerReport, Finding, \
+    run_checkers
 from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
 from repro.errors import ComplianceError
+from repro.lang import parse_translation_unit
 from repro.rules import CHECKER_CRASH
 from repro.testing import Fault, FaultInjected, FaultPlan, FaultyChecker
 
@@ -94,6 +96,23 @@ class TestStrictMode:
                 executor="process")).run(corpus_sources)
 
 
+class _PerUnitBomb(Checker):
+    """One finding per unit, except on ``target``, where it raises."""
+
+    name = "per_unit_bomb"
+
+    def __init__(self, target: str) -> None:
+        self.target = target
+
+    def unit_visitor(self, unit, report, sweep) -> None:
+        def finish():
+            if unit.filename == self.target:
+                raise RuntimeError(f"cannot check {unit.filename}")
+            report.emit(Finding(rule="test.unit", message="unit checked",
+                                filename=unit.filename))
+        sweep.at_end(finish)
+
+
 class _FinalizeCrash(Checker):
     name = "finalize_crash"
 
@@ -134,6 +153,22 @@ class TestContainmentBoundaries:
         assert reports["finalize_crash"].crashes
         with pytest.raises(ZeroDivisionError):
             run_checkers([_FinalizeCrash()], units, strict=True)
+
+    def test_run_checkers_contains_per_unit(self):
+        sources = {path: "int f(int x) { return x; }\n"
+                   for path in ("a.cc", "b.cc", "c.cc")}
+        units = [parse_translation_unit(source, path)
+                 for path, source in sorted(sources.items())]
+        report = run_checkers([_PerUnitBomb("b.cc")],
+                              units)["per_unit_bomb"]
+        assert [(f.rule, f.filename) for f in report.findings] == [
+            ("test.unit", "a.cc"), (CHECKER_CRASH, "b.cc"),
+            ("test.unit", "c.cc")]
+        assert [(crash.stage, crash.path) for crash in report.crashes] \
+            == [("check_unit", "b.cc")]
+        result = AssessmentPipeline(PipelineConfig(
+            extra_checkers=(_PerUnitBomb("b.cc"),))).run(sources)
+        assert result.reports["per_unit_bomb"] == report
 
     def test_crashed_bundles_never_cached(self, corpus_sources,
                                           target_path, tmp_path):
