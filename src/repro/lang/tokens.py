@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -20,10 +19,18 @@ class TokenKind(enum.Enum):
     PREPROCESSOR = "preprocessor"
     END = "end"
 
+    # Members are singletons, so identity hashing is exact, and it runs in
+    # C: ``Enum.__hash__`` is a Python-level call on every dict lookup by
+    # kind (the sweep does one per token).
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """A single lexical token with its source position.
+
+    Tokens are plain tuples ``(kind, text, line, column)``: immutable,
+    hashable, picklable and cheap to build (the lexer creates them with
+    ``tuple.__new__``).  Equality is tuple equality.
 
     Attributes:
         kind: lexical category.
@@ -56,7 +63,7 @@ class Token:
         """1-based line of the last character (multi-line comments span)."""
         return self.line + self.text.count("\n")
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
+    def __str__(self) -> str:
         return f"{self.kind.value}({self.text!r})@{self.line}:{self.column}"
 
 
