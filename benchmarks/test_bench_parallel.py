@@ -22,8 +22,9 @@ import os
 import statistics
 import time
 
-from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.corpus import apollo_spec, generate_corpus
+from repro.store import ObjectStore
 
 #: Corpus scale; override with REPRO_BENCH_SCALE for quicker sweeps.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -81,16 +82,16 @@ class TestParallelBenchmark:
                 lambda: run(jobs=jobs))
 
         cache_dir = str(tmp_path / "cache")
-        cold_cache = ResultCache(cache_dir)
+        cold_cache = ObjectStore(cache_dir)
         cold_start = time.perf_counter()
         cold_result = run(cache=cold_cache)
         cold_seconds = time.perf_counter() - cold_start
         assert cold_result.to_dict() == reference.to_dict()
 
-        warm_result = run(cache=ResultCache(cache_dir))
+        warm_result = run(cache=ObjectStore(cache_dir))
         assert warm_result.to_dict() == reference.to_dict()
         warm_seconds = _median_seconds(
-            lambda: run(cache=ResultCache(cache_dir)))
+            lambda: run(cache=ObjectStore(cache_dir)))
 
         pre_engine = _pre_engine_seconds(SCALE)
         engine_speedup = (pre_engine / serial_seconds

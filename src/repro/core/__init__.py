@@ -1,7 +1,7 @@
 """The assessment pipeline: the paper's methodology as one call."""
 
 from .assessment import AssessmentResult
-from .cache import CACHE_MISS, MemoryCache, ResultCache
+from .cache import CACHE_MISS, MemoryCache
 from .config import PipelineConfig
 from .diff import (
     AssessmentDiff,
@@ -26,7 +26,6 @@ from .pipeline import AssessmentPipeline, assess_corpus, assess_sources
 __all__ = [
     "CACHE_MISS",
     "MemoryCache",
-    "ResultCache",
     "chunk_evenly",
     "worker_count",
     "AssessmentDiff",

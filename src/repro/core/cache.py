@@ -8,16 +8,15 @@ version tag, so a changed file, a changed checker implementation, or a
 changed checker configuration each invalidate exactly the entries they
 affect and nothing else.
 
-Since the store refactor, :class:`ResultCache` is a thin facade over
-the sharded persistence layer: all mechanics — the atomic two-level
-fanout object layout, hit/miss/corrupt accounting, stale-temp
-sweeping, shard redirection, merge and GC — live in
-:class:`repro.store.objects.ObjectStore`.  What this module owns is
-the cache *semantics*: the stage version tags below, and the
-backwards-compatible flat layout (``ResultCache(root)`` keeps its
-entries directly under ``root``, exactly as before, while a
-``--store`` run keeps them under ``<store>/objects`` beside the run
-history and shards).
+Any :class:`repro.store.objects.ObjectStore` is a result cache; it owns
+the mechanics — the atomic two-level fanout object layout,
+hit/miss/corrupt accounting, stale-temp sweeping, shard redirection,
+merge and GC.  A ``--store`` run gets one from
+:meth:`repro.store.store.Store.object_store`, rooted at
+``<store>/objects`` beside the run history and shards.  What this
+module owns is the cache *semantics* — the stage version tags below —
+and :class:`MemoryCache`, the disk-free backend ``repro-serve`` uses
+when it has no store.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Any, Dict, Iterator, Optional, Set, Tuple
 from ..store.objects import CACHE_MISS, SCHEMA_TAG, ObjectStore
 
 __all__ = ["CACHE_MISS", "CHECK_TAG", "MemoryCache", "PARSE_TAG",
-           "ResultCache", "SCHEMA_TAG"]
+           "SCHEMA_TAG"]
 
 #: Stage tag for parse results; bump when the fuzzy parser's output for
 #: an unchanged source can change (see :mod:`repro.lang.cppmodel`).
@@ -49,21 +48,7 @@ PARSE_TAG = "parse:4"
 CHECK_TAG = "check:4"
 
 
-class ResultCache(ObjectStore):
-    """The pipeline's result cache: an object store rooted in place.
-
-    ``ResultCache(root)`` is the classic ``--cache DIR`` shape —
-    entries live directly under ``root`` in the two-level fanout, with
-    hit/miss/put/corruption accounting and atomic best-effort writes
-    (see the base class for the full contract).  A store-backed cache
-    (``--store DIR``) is built through
-    :meth:`repro.store.store.Store.object_store` instead, which roots
-    the same machinery in the store's shared object area and can
-    redirect writes into a per-process shard.
-    """
-
-
-class MemoryCache(ResultCache):
+class MemoryCache(ObjectStore):
     """A process-lifetime result cache: same contract, no disk.
 
     The warm heart of ``repro-serve``: the daemon keeps parse outcomes
@@ -73,10 +58,10 @@ class MemoryCache(ResultCache):
     pipeline treats cached outcomes and bundles as immutable, exactly
     as it treats entries round-tripped through the on-disk store.
 
-    Hit/miss/put accounting matches :class:`ResultCache` (including
+    Hit/miss/put accounting matches :class:`ObjectStore` (including
     :meth:`attach`-routed metrics counters), so the serve layer's
     per-request cache deltas read the same whether the backend is
-    memory, a flat ``--cache`` directory, or a sharded ``--store``.
+    memory or a sharded ``--store``.
     """
 
     def __init__(self) -> None:

@@ -28,10 +28,7 @@ from ..errors import (
 from ..obs import (
     LEVELS,
     EventLog,
-    RunLedger,
     Tracer,
-    build_run_record,
-    new_run_id,
     render_hotspots,
     render_profile,
     render_self_time,
@@ -45,8 +42,13 @@ from ..report import (
     configured_reporters,
 )
 from ..rules import REGISTRY, Baseline, profile_from_globs, render_rules
-from ..store import Store, default_shard_name, merge_into
-from .cache import ResultCache
+from ..store import (
+    Store,
+    build_run_record,
+    default_shard_name,
+    merge_into,
+    new_run_id,
+)
 from .config import PipelineConfig
 from .diff import diff_assessments, gap_reduction, load_assessment_view
 from .pipeline import AssessmentPipeline
@@ -110,19 +112,20 @@ def build_parser() -> argparse.ArgumentParser:
                         default="thread",
                         help="pool flavor for --jobs > 1 (default "
                              "thread; process sidesteps the GIL)")
-    parser.add_argument("--cache", metavar="DIR",
-                        help="content-addressed result cache directory; "
-                             "unchanged files short-circuit to cached "
-                             "parse and checker results")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache even when "
-                             "--cache is given")
     parser.add_argument("--store", metavar="DIR",
                         help="sharded content-addressed result store: "
                              "caches parse/checker results under "
-                             "DIR/objects, records this run's manifest "
-                             "to DIR/runs.jsonl, and accepts shard "
-                             "merges (see repro-store)")
+                             "DIR/objects (unchanged files "
+                             "short-circuit to them), records this "
+                             "run's manifest (config fingerprints, "
+                             "stage times, fault and cache counters, "
+                             "finding counts) to DIR/runs.jsonl for "
+                             "repro-trends, and accepts shard merges "
+                             "(see repro-store)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="with --store: record the run's manifest "
+                             "but neither read nor write cached "
+                             "results")
     parser.add_argument("--shard", metavar="K/N",
                         help="assess only the Kth of N round-robin "
                              "corpus slices (1-based; requires "
@@ -188,13 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the telemetry document (spans, "
                              "counters, histograms, Chrome trace events) "
                              "as JSON")
-    parser.add_argument("--ledger", nargs="?", const=".repro",
-                        default=None, metavar="DIR",
-                        help="append this run's manifest (config "
-                             "fingerprints, stage times, fault and "
-                             "cache counters, finding counts) to "
-                             "DIR/runs.jsonl for repro-trends "
-                             "(default DIR: .repro)")
     parser.add_argument("--log-json", metavar="FILE",
                         help="write structured JSONL events (parse "
                              "failures, checker crashes, worker "
@@ -243,10 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     store = None
     if args.store:
-        if args.cache and not args.no_cache:
-            print("--store and --cache are mutually exclusive (a store "
-                  "contains its own object area)", file=sys.stderr)
-            return 2
         store = Store(args.store)
     else:
         if args.shard:
@@ -256,16 +248,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.merge_from:
             print("--merge-from requires --store", file=sys.stderr)
             return 2
+        if args.no_cache:
+            print("--no-cache requires --store", file=sys.stderr)
+            return 2
     telemetry = args.trace or args.profile or args.metrics_json
-    # A ledgered (or store-backed) run is traced even without
-    # --trace/--profile: the RunRecord needs per-stage wall times.
-    # Stdout is unchanged.
-    tracer = (Tracer() if telemetry or args.ledger is not None
-              or store is not None else None)
-    cache = (ResultCache(args.cache)
-             if args.cache and not args.no_cache else None)
-    if store is not None and not args.no_cache:
-        cache = store.object_store(shard=_shard_name(args.shard))
+    # A store-backed run is traced even without --trace/--profile: the
+    # RunRecord needs per-stage wall times.  Stdout is unchanged.
+    tracer = Tracer() if telemetry or store is not None else None
+    cache = (store.object_store(shard=_shard_name(args.shard))
+             if store is not None and not args.no_cache else None)
     if args.task_timeout is not None and args.task_timeout <= 0:
         print(f"--task-timeout must be positive, got {args.task_timeout}",
               file=sys.stderr)
@@ -328,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _assess(args, sources, profile, baseline, tracer, cache,
             event_log, run_id, store=None) -> int:
     """Build and run the pipeline, print every report, and (when
-    enabled) append the run's manifest to the ledger."""
+    store-backed) append the run's manifest to the store."""
     try:
         pipeline = AssessmentPipeline(PipelineConfig(
             tracer=tracer, log=event_log, jobs=args.jobs,
@@ -401,12 +392,10 @@ def _assess(args, sources, profile, baseline, tracer, cache,
     if targets.any():
         coverage = (collect_yolo_coverage()
                     if targets.needs_coverage() else None)
-        ledger = (RunLedger(args.ledger)
-                  if args.ledger is not None
-                  else store.history() if store is not None else None)
         model = build_report_model(
             result, sources, module_of=pipeline.config.module_of,
-            coverage=coverage, tracer=tracer, ledger=ledger)
+            coverage=coverage, tracer=tracer,
+            history=store.history() if store is not None else None)
         for reporter, destination in configured_reporters(targets):
             try:
                 print(reporter.write(model, destination))
@@ -421,7 +410,7 @@ def _assess(args, sources, profile, baseline, tracer, cache,
     # "complete but degraded" (3).
     exit_code = 3 if result.degraded else 0
     trailer = "\n"
-    if args.ledger is not None or store is not None:
+    if store is not None:
         record = build_run_record(
             result, run_id=run_id, duration=duration,
             exit_code=exit_code, config=pipeline.config,
@@ -429,30 +418,20 @@ def _assess(args, sources, profile, baseline, tracer, cache,
             # A shard run's manifest describes its slice, not the full
             # input (the default counts what was actually assessed).
             files=len(sources) if not args.shard else None)
-        if args.ledger is not None:
-            try:
-                ledger_path = RunLedger(args.ledger).append(record)
-            except OSError as error:
-                print(f"cannot write run ledger: {error}",
-                      file=sys.stderr)
-                return 2
-            print(f"{trailer}run {run_id} recorded to {ledger_path}")
-            trailer = ""
-        if store is not None:
-            # A shard run's manifest lives beside its objects, in its
-            # own shard directory: concurrent shard processes never
-            # contend on the master table, and the merge unions the
-            # manifests by run id.
-            history = (store.shard(_shard_name(args.shard))
-                       if args.shard else store.history())
-            try:
-                store_path = history.append(record)
-            except OSError as error:
-                print(f"cannot record run to store: {error}",
-                      file=sys.stderr)
-                return 2
-            print(f"{trailer}run {run_id} recorded to {store_path}")
-            trailer = ""
+        # A shard run's manifest lives beside its objects, in its own
+        # shard directory: concurrent shard processes never contend on
+        # the master table, and the merge unions the manifests by run
+        # id.
+        history = (store.shard(_shard_name(args.shard))
+                   if args.shard else store.history())
+        try:
+            store_path = history.append(record)
+        except OSError as error:
+            print(f"cannot record run to store: {error}",
+                  file=sys.stderr)
+            return 2
+        print(f"{trailer}run {run_id} recorded to {store_path}")
+        trailer = ""
     if event_log is not None:
         print(f"{trailer}event log written to {args.log_json}")
     return exit_code

@@ -12,7 +12,7 @@ from ..iso26262.compliance import ComplianceThresholds
 from ..obs import EventLog, Tracer
 from ..report.base import ReportTargets
 from ..rules import Baseline, RuleProfile
-from .cache import ResultCache
+from ..store.objects import ObjectStore
 
 
 @dataclass
@@ -46,12 +46,12 @@ class PipelineConfig:
         executor: pool flavor for ``jobs > 1`` — ``"thread"`` (no
             pickling, GIL-bound) or ``"process"`` (true CPU
             parallelism; payloads cross process boundaries).
-        cache: optional content-addressed :class:`~repro.core.cache.
-            ResultCache`; unchanged files short-circuit to cached parse
-            results and per-unit checker reports.  A store-backed cache
-            (:meth:`repro.store.store.Store.object_store`) additionally
-            redirects writes into a per-process shard directory for
-            later ``repro-store merge``.
+        cache: optional content-addressed :class:`~repro.store.
+            objects.ObjectStore`; unchanged files short-circuit to
+            cached parse results and per-unit checker reports.  A
+            store-backed cache (:meth:`repro.store.store.Store.
+            object_store`) can also redirect writes into a per-process
+            shard directory for later ``repro-store merge``.
         shard: optional ``"K/N"`` slice — assess only every Nth file
             of the sorted corpus starting at the Kth (1-based), so N
             cooperating processes cover the corpus disjointly and a
@@ -103,7 +103,7 @@ class PipelineConfig:
     log: Optional[EventLog] = None
     jobs: int = 1
     executor: str = "thread"
-    cache: Optional[ResultCache] = None
+    cache: Optional[ObjectStore] = None
     shard: Optional[str] = None
     rules: Optional[RuleProfile] = None
     baseline: Optional[Baseline] = None

@@ -554,8 +554,8 @@ class AssessmentPipeline:
         objects`` area under the store root: the worker persists its
         own results, the parent absorbs the areas on join, and a killed
         run leaves behind valid shard directories ``repro-store merge``
-        folds in.  Plain ``--cache`` runs (no base) and a lone task,
-        which runs inline, are untouched.  Returns the armed shard
+        folds in.  Caches without a base and a lone task, which runs
+        inline, are untouched.  Returns the armed shard
         directories (empty when inactive).
         """
         cache = self.config.cache

@@ -38,13 +38,6 @@ from .metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from .runlog import (
-    LEDGER_SCHEMA,
-    RunLedger,
-    RunRecord,
-    build_run_record,
-    new_run_id,
-)
 from .span import Span
 from .tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -54,7 +47,6 @@ __all__ = [
     "EventLog",
     "Gauge",
     "Histogram",
-    "LEDGER_SCHEMA",
     "LEVELS",
     "MetricsRegistry",
     "NullLog",
@@ -62,14 +54,10 @@ __all__ = [
     "NULL_LOG",
     "NULL_TRACER",
     "NullTracer",
-    "RunLedger",
-    "RunRecord",
     "Span",
     "Tracer",
-    "build_run_record",
     "chrome_trace",
     "hotspots",
-    "new_run_id",
     "render_hotspots",
     "render_profile",
     "render_prometheus",

@@ -13,8 +13,8 @@ Three flat tables over the span forest, all printed by
 * :func:`hotspots` / :func:`render_hotspots` — the slowest files
   (``parse_file`` spans by ``path``) crossed with the slowest checkers
   (``checker`` spans by ``name``); the top-K also lands in each
-  :class:`~repro.obs.runlog.RunRecord` so the ledger remembers where
-  past runs spent their time.
+  :class:`~repro.store.history.RunRecord` so the run history remembers
+  where past runs spent their time.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def hotspots(source: Union[Tracer, List[Span]],
     ``checker`` spans per ``name``.  Returns
     ``{"files": [{"path", "seconds"}...],
     "checkers": [{"checker", "seconds"}...]}``, each list sorted
-    slowest-first and cut at ``limit`` — the shape stored in the run
-    ledger's ``hotspots`` field.
+    slowest-first and cut at ``limit`` — the shape stored in a run
+    record's ``hotspots`` field.
     """
     files: Dict[str, float] = {}
     checkers: Dict[str, float] = {}

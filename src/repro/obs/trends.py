@@ -1,13 +1,16 @@
-"""Trend and regression reporting over the run ledger: ``repro-trends``.
+"""Trend and regression reporting over the run history: ``repro-trends``.
 
 The paper's claim is longitudinal — how a framework tracks the ISO
 26262-6 tables *over time* — and so is a CI fleet's: the interesting
 question is rarely one run's finding count but whether the latest run
-*spiked* relative to recent history.  This module reads the ledger
-(:mod:`repro.obs.runlog`) back and answers exactly that::
+*spiked* relative to recent history.  This module reads a store's run
+history (:mod:`repro.store.history`) back and answers exactly that::
 
-    repro-trends --ledger .repro            # table over the last runs
-    repro-trends --ledger .repro --json t.json --min-delta 1
+    repro-trends                            # table over .repro's runs
+    repro-trends --store .repro --json t.json --min-delta 1
+
+Any directory holding a ``runs.jsonl`` reads the same way, so an old
+run-ledger directory works as ``--store`` too.
 
 Two regression detectors run over the last N comparable records
 (records whose config + rules fingerprints match the latest run's —
@@ -21,7 +24,7 @@ a finding spike means nothing across a profile change):
   ``--min-seconds``.
 
 Exit codes: 0 clean, 1 when any regression fired (so CI can gate on
-it), 2 for unusable invocations (missing ledger, bad flags).
+it), 2 for unusable invocations (missing history, bad flags).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .runlog import RunLedger, RunRecord
+from ..store.history import RunHistory, RunRecord
 
 __all__ = [
     "Regression",
@@ -276,12 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-trends",
         description="Trend and regression report over the repro-assess "
-                    "run ledger; exits 1 when the latest run regressed.")
-    parser.add_argument("--ledger", default=".repro", metavar="DIR",
-                        help="ledger directory (default .repro)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="read a repro-assess --store directory "
-                             "instead of --ledger; unmerged shard run "
+                    "run history; exits 1 when the latest run regressed.")
+    parser.add_argument("--store", default=".repro", metavar="DIR",
+                        help="the repro-assess --store directory to "
+                             "read (default .repro); unmerged shard run "
                              "tables are unioned in by run id, so "
                              "trends cover the fleet's merged history")
     parser.add_argument("--last", type=int, default=DEFAULT_LAST,
@@ -321,16 +322,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"--last must be a positive integer, got {args.last}",
               file=sys.stderr)
         return 2
-    # A store root is also a valid history directory (same runs.jsonl
-    # plus shard tables), so both flags read through one class.
-    ledger = RunLedger(args.store if args.store else args.ledger)
+    history = RunHistory(args.store)
     try:
-        records = ledger.tail(args.last)
+        records = history.tail(args.last)
     except OSError as error:
         print(f"cannot read run ledger: {error}", file=sys.stderr)
         return 2
     if not records:
-        print(f"run ledger {ledger.path} holds no readable records",
+        print(f"run ledger {history.path} holds no readable records",
               file=sys.stderr)
         return 2
     regressions = detect_regressions(
@@ -339,8 +338,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         slowdown_factor=args.slowdown_factor,
         min_seconds=args.min_seconds)
     print(render_trends(records, regressions))
-    if ledger.corrupt_lines:
-        print(f"({ledger.corrupt_lines} corrupt ledger line(s) skipped)",
+    if history.corrupt_lines:
+        print(f"({history.corrupt_lines} corrupt ledger line(s) skipped)",
               file=sys.stderr)
     if args.json:
         try:

@@ -5,7 +5,7 @@ ad-hoc writers scattered through the CLI.  This package separates the
 *what* from the *how* (mini-coverage's Bridge pattern): a single
 :class:`~repro.report.model.ReportModel` is assembled once from the
 assessment result, the rules registry, coverage data, profile hotspots,
-and the run ledger — and every reporter renders that model:
+and the run history — and every reporter renders that model:
 
 * :class:`~repro.report.base.JsonReporter` /
   :class:`~repro.report.base.MarkdownReporter` — the pre-bridge

@@ -7,7 +7,7 @@ into a directory:
   (findings per ISO 26262-6 table/topic, severity mix, per-module
   violation density, coverage by type), the requirement-table verdicts,
   a degradations panel on degraded runs, per-rule trend sparklines from
-  the run ledger, profile hotspots, and the full rule index;
+  the run history, profile hotspots, and the full rule index;
 * ``modules/<module>.html`` — per-module drilldown with every source
   file annotated line by line (findings, deviation suppressions);
 * ``coverage/<file>.html`` — per-covered-file drilldown with hit

@@ -13,7 +13,7 @@ Reporters never reach back into the pipeline; they consume a
   MC-DC percentages plus raw collectors for line annotation and
   Cobertura export),
 * optional profile hotspots from the run's tracer, and
-* optional trend series read back from the run ledger (per-rule
+* optional trend series read back from the run history (per-rule
   finding counts over the trailing comparable-configuration window).
 
 Keeping the aggregation here means the HTML dashboard, SARIF and
@@ -90,12 +90,12 @@ class ModuleRollup:
 
 @dataclass(frozen=True)
 class TrendData:
-    """Per-rule finding series over the ledger's comparable window.
+    """Per-rule finding series over the history's comparable window.
 
     Attributes:
         run_ids: the window's run ids, oldest first.
         series: ``{rule id: [count per run, oldest first]}``.
-        window_size: records read from the ledger (the look-back).
+        window_size: records read from the history (the look-back).
         matched_runs: records sharing the latest run's config + rules
             fingerprints — the only ones the series cover.
         config_fingerprint / rules_fingerprint: the latest run's pair,
@@ -258,12 +258,12 @@ def _module_rollups(result, sources: Mapping[str, str],
     return rollups
 
 
-def _trend_data(ledger, last: int) -> Optional[TrendData]:
-    """Per-rule series over the ledger, or ``None`` when unreadable."""
-    if ledger is None:
+def _trend_data(history, last: int) -> Optional[TrendData]:
+    """Per-rule series over the history, or ``None`` when unreadable."""
+    if history is None:
         return None
     try:
-        records = ledger.tail(last)
+        records = history.tail(last)
     except OSError:
         return None
     if not records:
@@ -319,7 +319,7 @@ def build_report_model(result, sources: Mapping[str, str], *,
                        module_of: Callable[[str], str] = module_from_path,
                        coverage: Optional[CoverageData] = None,
                        tracer=None,
-                       ledger=None,
+                       history=None,
                        trend_last: int = 20) -> ReportModel:
     """Assemble the :class:`ReportModel` every reporter consumes.
 
@@ -333,9 +333,9 @@ def build_report_model(result, sources: Mapping[str, str], *,
             charts and Cobertura export.
         tracer: the run's tracer, for profile hotspots (skipped when
             absent or disabled).
-        ledger: optional :class:`~repro.obs.runlog.RunLedger` to read
-            trend series from; an unreadable or empty ledger simply
-            yields no trends.
+        history: optional :class:`~repro.store.history.RunHistory` to
+            read trend series from; an unreadable or empty history
+            simply yields no trends.
         trend_last: trend look-back window, in runs.
     """
     registry = registry if registry is not None else REGISTRY
@@ -354,6 +354,6 @@ def build_report_model(result, sources: Mapping[str, str], *,
         module_of=module_of,
         coverage=coverage,
         hotspots=hotspots,
-        trends=_trend_data(ledger, trend_last),
+        trends=_trend_data(history, trend_last),
         tool_version=_tool_version(),
     )

@@ -19,11 +19,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..core.cache import ResultCache
 from ..errors import ReproError
-from ..obs import LEVELS, EventLog, new_run_id
+from ..obs import LEVELS, EventLog
 from ..rules import REGISTRY, profile_from_globs
-from ..store import Store
+from ..store import Store, new_run_id
 from .protocol import encode_reply
 from .server import AssessmentServer, run_stdio, run_tcp
 from .stream import watch_events
@@ -58,14 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="back the daemon with a sharded result "
                              "store: its object area is the cache and "
                              "every served assessment appends a run "
-                             "manifest for repro-trends")
-    parser.add_argument("--cache", metavar="DIR",
-                        help="on-disk result cache directory (default: "
-                             "a process-private in-memory cache)")
-    parser.add_argument("--ledger", nargs="?", const=".repro",
-                        default=None, metavar="DIR",
-                        help="append each served assessment's manifest "
-                             "to DIR/runs.jsonl (default DIR: .repro)")
+                             "manifest for repro-trends (default: a "
+                             "process-private in-memory cache and no "
+                             "run history)")
     parser.add_argument("--enable", action="append", metavar="GLOB",
                         default=None,
                         help="enable only rules matching GLOB "
@@ -116,10 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--watch and --tcp are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.store and args.cache:
-        print("--store and --cache are mutually exclusive (a store "
-              "contains its own object area)", file=sys.stderr)
-        return 2
     if args.interval <= 0:
         print(f"--interval must be positive, got {args.interval}",
               file=sys.stderr)
@@ -150,7 +140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(str(error), file=sys.stderr)
         return 2
     store = Store(args.store) if args.store else None
-    cache = ResultCache(args.cache) if args.cache else None
     log_handle = None
     event_log = None
     if args.log_json:
@@ -163,8 +152,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              level=args.log_level or "info",
                              run_id=new_run_id())
     server = AssessmentServer(
-        root, profile=profile, store=store, ledger_dir=args.ledger,
-        cache=cache, jobs=args.jobs, executor=args.executor,
+        root, profile=profile, store=store, jobs=args.jobs,
+        executor=args.executor,
         strict=args.strict, task_timeout=args.task_timeout,
         log=event_log)
     try:

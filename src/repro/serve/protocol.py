@@ -2,7 +2,7 @@
 
 Requests and replies are newline-delimited JSON — the simplest shape a
 CI runner, an editor plugin, or ``nc`` can speak, and the same framing
-the run ledger and event log already use.  A request names a ``verb``
+the run history and event log already use.  A request names a ``verb``
 and optionally carries an ``id`` the reply echoes back, so clients may
 pipeline requests over one connection::
 

@@ -19,8 +19,8 @@ CLI's exit code 3), and an unexpected fault in the serve layer itself
 is caught and answered as ``ok: false`` — the daemon keeps serving
 either way.
 
-Store- or ledger-backed serving appends one
-:class:`~repro.obs.runlog.RunRecord` per assessment through the same
+Store-backed serving appends one
+:class:`~repro.store.history.RunRecord` per assessment through the same
 :class:`~repro.store.history.RunHistory` the one-shot CLI uses, so
 watch iterations and served requests feed the ``repro-trends`` window
 exactly like standalone runs — with *per-request* cache deltas, not
@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Set
 
-from ..core.cache import MemoryCache, ResultCache
+from ..core.cache import MemoryCache
 from ..core.config import PipelineConfig
 from ..core.diff import (
     diff_assessments,
@@ -43,15 +43,9 @@ from ..core.diff import (
 )
 from ..core.pipeline import AssessmentPipeline
 from ..errors import ReproError, ServeError
-from ..obs import (
-    EventLog,
-    NULL_LOG,
-    RunLedger,
-    Tracer,
-    build_run_record,
-    new_run_id,
-)
+from ..obs import NULL_LOG, EventLog, Tracer
 from ..rules import REGISTRY, RuleProfile
+from ..store import ObjectStore, Store, build_run_record, new_run_id
 from .protocol import PROTOCOL_VERSION, encode_reply, error_reply, \
     parse_request
 from .stream import finding_diff
@@ -63,21 +57,20 @@ __all__ = ["AssessmentServer", "run_stdio", "run_tcp"]
 class _CacheDelta:
     """One request's slice of the shared cache accounting.
 
-    :func:`~repro.obs.runlog.build_run_record` reads hit/miss/put/
+    :func:`~repro.store.history.build_run_record` reads hit/miss/put/
     corruption counts off whatever cache object it is handed; a daemon
     must hand it the *request's* delta, not the process-lifetime
     totals, or every served run's manifest would double-count its
     predecessors'.
     """
 
-    def __init__(self, cache: ResultCache) -> None:
+    def __init__(self, cache: ObjectStore) -> None:
         self._cache = cache
         self._hits = cache.hits
         self._misses = cache.misses
         self._puts = cache.puts
         self._corrupt = cache.corrupt_entries
-        self.record_references = getattr(cache, "record_references",
-                                         False)
+        self.record_references = cache.record_references
 
     @property
     def hits(self) -> int:
@@ -98,7 +91,7 @@ class _CacheDelta:
     @property
     def referenced(self):
         # the server clears the set before each request (see assess)
-        return getattr(self._cache, "referenced", ())
+        return self._cache.referenced
 
     def to_dict(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
@@ -116,8 +109,7 @@ class AssessmentServer:
 
     def __init__(self, root: Optional[str] = None, *,
                  profile: Optional[RuleProfile] = None,
-                 store=None, ledger_dir: Optional[str] = None,
-                 cache: Optional[ResultCache] = None,
+                 store: Optional[Store] = None,
                  jobs: int = 1, executor: str = "thread",
                  strict: bool = False,
                  task_timeout: Optional[float] = None,
@@ -126,11 +118,8 @@ class AssessmentServer:
         self.log = log if log is not None else NULL_LOG
         self.profile = profile
         self.store = store
-        self.ledger_dir = ledger_dir
-        if cache is None:
-            cache = (store.object_store() if store is not None
-                     else MemoryCache())
-        self.cache = cache
+        self.cache = (store.object_store() if store is not None
+                      else MemoryCache())
         self.jobs = jobs
         self.executor = executor
         self.strict = strict
@@ -243,7 +232,7 @@ class AssessmentServer:
     def _record_run(self, result, root: str, duration: float,
                     tracer: Optional[Tracer], delta: _CacheDelta,
                     files: int) -> Optional[str]:
-        if self.store is None and self.ledger_dir is None:
+        if self.store is None:
             return None
         run_id = new_run_id()
         record = build_run_record(
@@ -251,10 +240,7 @@ class AssessmentServer:
             exit_code=3 if result.degraded else 0,
             config=self._config(tracer), tracer=tracer,
             cache=delta, files=files)
-        if self.ledger_dir is not None:
-            RunLedger(self.ledger_dir).append(record)
-        if self.store is not None:
-            self.store.history().append(record)
+        self.store.history().append(record)
         return run_id
 
     # ------------------------------------------------------------------
@@ -325,9 +311,7 @@ class AssessmentServer:
             if not sources:
                 raise ServeError(
                     f"no C/C++/CUDA sources found under {root}")
-            tracer = (Tracer()
-                      if self.store is not None
-                      or self.ledger_dir is not None else None)
+            tracer = Tracer() if self.store is not None else None
             # Collect exactly the keys this assessment touches: the
             # memory cache retains them, and a store-backed run record
             # pins them.

@@ -2,16 +2,16 @@
 
 Subcommands::
 
-    repro-store merge STORE [--from DIR ...] [--from-ledger DIR ...]
+    repro-store merge STORE [--from DIR ...]
     repro-store gc STORE --max-age DAYS --max-size MB [--dry-run]
     repro-store stats STORE
     repro-store runs STORE [--last N]
 
 ``merge`` always folds the store's own ``shard-*/`` directories into
 the master areas (``--keep-shards`` preserves them); ``--from`` pulls
-in foreign stores or shard directories (read-only), and
-``--from-ledger`` imports legacy ``--ledger`` JSONL run tables.  Exit
-codes follow the house convention: 0 success, 2 unusable invocation.
+in foreign stores, shard directories, or bare run-history directories
+(read-only).  Exit codes follow the house convention: 0 success, 2
+unusable invocation.
 """
 
 from __future__ import annotations
@@ -35,18 +35,15 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     merge = commands.add_parser(
-        "merge", help="fold shards (and other stores/ledgers) into "
-                      "the master store")
+        "merge", help="fold shards (and other stores) into the "
+                      "master store")
     merge.add_argument("store", metavar="STORE",
                        help="master store directory")
     merge.add_argument("--from", dest="sources", action="append",
                        default=[], metavar="DIR",
-                       help="also merge DIR (a store, shard, or "
-                            "object area; read-only; repeatable)")
-    merge.add_argument("--from-ledger", dest="ledgers", action="append",
-                       default=[], metavar="DIR",
-                       help="import a legacy --ledger JSONL "
-                            "directory's run history (repeatable)")
+                       help="also merge DIR (a store, shard, object "
+                            "area, or run-history directory; "
+                            "read-only; repeatable)")
     merge.add_argument("--keep-shards", action="store_true",
                        help="leave the store's own shard directories "
                             "in place after merging")
@@ -98,7 +95,6 @@ def _merge(args) -> int:
     store = Store(args.store)
     try:
         stats = merge_into(store, sources=args.sources,
-                           ledgers=args.ledgers,
                            remove_shards=not args.keep_shards)
     except OSError as error:
         print(f"cannot merge into store: {error}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Merging shards, stores, and legacy ledgers into a master store.
+"""Merging shards and stores into a master store.
 
 The contract (pinned by ``tests/store/test_merge.py``):
 
@@ -14,11 +14,11 @@ The contract (pinned by ``tests/store/test_merge.py``):
   store's *own* shards are folded in with same-filesystem renames and
   then removed (pass ``remove_shards=False`` to keep them).
 
-A "source" is anything shaped like a store: a full store root, a
-single shard directory, or a bare object area.  Legacy ``--ledger``
-JSONL directories import through the same path
-(:func:`import_ledger` / ``repro-store merge --from-ledger``): their
-run manifests union into the master table, objects simply absent.
+A "source" is any existing directory shaped like a store: a full store
+root, a single shard directory, a bare object area, or a bare run
+history (a directory holding only ``runs.jsonl``, as old run ledgers
+do) — its run manifests union into the master table, objects simply
+absent.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .layout import OBJECTS_DIRNAME, list_shards
 from .objects import ObjectStore
 from .store import Store
 
-__all__ = ["MergeStats", "import_ledger", "merge_into", "merge_shards"]
+__all__ = ["MergeStats", "merge_into", "merge_shards"]
 
 
 @dataclass
@@ -181,18 +181,22 @@ def _union_documents(pools: Sequence[Tuple[List[Dict], bool]],
 
 
 def merge_into(store: Store, sources: Sequence[str] = (),
-               ledgers: Sequence[str] = (),
                remove_shards: bool = True) -> MergeStats:
-    """Fold shards, foreign stores, and legacy ledgers into ``store``.
+    """Fold the store's shards and foreign stores into ``store``.
 
     The store's own ``shard-*/`` directories are always merged (and
     removed unless ``remove_shards=False``); each ``sources`` entry is
-    read as a store/shard/object-area and copied in; each ``ledgers``
-    entry contributes only its run table.  The master run table is
-    rewritten canonically, so the result is byte-identical regardless
-    of the order sources are merged in.  Raises :class:`OSError` when
-    the master store itself cannot be written.
+    read as a store/shard/object-area/run-history and copied in.  The
+    master run table is rewritten canonically, so the result is
+    byte-identical regardless of the order sources are merged in.
+    Raises :class:`OSError` when a source is not an existing directory
+    (before anything is merged) or when the master store itself cannot
+    be written.
     """
+    for source in sources:
+        if not os.path.isdir(source):
+            raise NotADirectoryError(
+                f"merge source is not a directory: {source}")
     stats = MergeStats()
     area = ObjectStore(store.objects_root)
     history = store.history()
@@ -228,11 +232,6 @@ def merge_into(store: Store, sources: Sequence[str] = (),
                              stats=stats)
         stats.sources.append(source)
 
-    for ledger_dir in ledgers:
-        table = os.path.join(ledger_dir, LEDGER_FILENAME)
-        pools.append((RunHistory(ledger_dir)._parse_file(table), True))
-        stats.sources.append(ledger_dir)
-
     history.rewrite(_union_documents(pools, stats))
     if remove_shards:
         for shard_dir in own_shards:
@@ -243,9 +242,3 @@ def merge_into(store: Store, sources: Sequence[str] = (),
 def merge_shards(store: Store, remove_shards: bool = True) -> MergeStats:
     """Fold the store's own shard directories into its master areas."""
     return merge_into(store, remove_shards=remove_shards)
-
-
-def import_ledger(store: Store, directory: str) -> MergeStats:
-    """Union a legacy ``--ledger`` JSONL directory's runs into the
-    master run table (the ``repro-store merge --from-ledger`` path)."""
-    return merge_into(store, ledgers=[directory])

@@ -79,10 +79,10 @@ class ObjectStore:
             absence.
         referenced: every key this process hit or wrote — the material
             a run manifest pins so GC never sweeps a run's entries.
-        record_references: when True, :func:`~repro.obs.runlog.
+        record_references: when True, :func:`~repro.store.history.
             build_run_record` copies :attr:`referenced` into the run
-            manifest (store-backed runs only; plain ``--cache`` runs
-            keep their manifests byte-identical to earlier releases).
+            manifest (set by :meth:`~repro.store.store.Store.
+            object_store`; a bare object area pins nothing).
         worker_shard_base: optional store root under which the pipeline
             may create per-worker shard directories for its fan-out
             (set by ``--store``; ``None`` keeps puts in the parent).

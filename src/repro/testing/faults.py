@@ -2,7 +2,7 @@
 
 The fault-isolation layer (crash containment in the checker stages,
 worker retry and serial fallback in :mod:`repro.core.parallel`, corrupt
-cache recovery in :mod:`repro.core.cache`) must be *exercised*, not
+cache recovery in :mod:`repro.store.objects`) must be *exercised*, not
 believed.  This module provides the controlled failures the
 ``tests/robustness`` suites inject:
 
@@ -15,7 +15,7 @@ believed.  This module provides the controlled failures the
   plan from inside the checker stage, via
   :attr:`~repro.core.config.PipelineConfig.extra_checkers`.
 * :func:`corrupt_cache_entries` / :func:`plant_stale_tmp` — disk-level
-  damage for :class:`~repro.core.cache.ResultCache` recovery tests.
+  damage for :class:`~repro.store.objects.ObjectStore` recovery tests.
 
 Run ``python -m repro.testing.faults`` for a self-contained smoke test
 (used by CI): it injects a crashing checker into a small synthetic
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..checkers.base import Checker, CheckerReport
-from ..core.cache import ResultCache
 from ..lang.cppmodel import TranslationUnit
+from ..store.objects import ObjectStore
 
 #: Recognized fault kinds.
 FAULT_KINDS = ("raise", "hang", "unpicklable", "exit")
@@ -175,7 +175,7 @@ class FaultyChecker(Checker):
 # disk-level damage
 
 
-def corrupt_cache_entries(cache: ResultCache, count: int = 1,
+def corrupt_cache_entries(cache: ObjectStore, count: int = 1,
                           junk: bytes = b"\x80\x05corrupt") -> int:
     """Overwrite up to ``count`` cache entries with garbage, in sorted
     path order (deterministic).  Returns how many were damaged."""
@@ -199,7 +199,7 @@ def corrupt_cache_entries(cache: ResultCache, count: int = 1,
     return damaged
 
 
-def plant_stale_tmp(cache: ResultCache, count: int = 1) -> List[str]:
+def plant_stale_tmp(cache: ObjectStore, count: int = 1) -> List[str]:
     """Create ``count`` stale ``*.tmp.<pid>`` leftovers (dead pid 0),
     as a crashed writer would; returns their paths."""
     directory = os.path.join(cache.root, "00")

@@ -14,7 +14,6 @@ from repro.core import (
     AssessmentPipeline,
     CACHE_MISS,
     PipelineConfig,
-    ResultCache,
     chunk_evenly,
     worker_count,
 )
@@ -25,6 +24,7 @@ from repro.checkers.style import StyleChecker, StyleConfig
 from repro.corpus import apollo_spec, generate_corpus
 from repro.errors import ConfigError
 from repro.obs import Tracer
+from repro.store import ObjectStore, RunHistory
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +67,14 @@ class TestDeterminism:
 
     def test_cold_then_warm_cache(self, tmp_path, corpus_sources,
                                   serial_result):
-        cold_cache = ResultCache(str(tmp_path))
+        cold_cache = ObjectStore(str(tmp_path))
         cold = AssessmentPipeline(
             PipelineConfig(cache=cold_cache)).run(corpus_sources)
         assert_identical(cold, serial_result)
         assert cold_cache.hits == 0
         assert cold_cache.misses == 2 * len(corpus_sources)
 
-        warm_cache = ResultCache(str(tmp_path))
+        warm_cache = ObjectStore(str(tmp_path))
         warm = AssessmentPipeline(
             PipelineConfig(cache=warm_cache)).run(corpus_sources)
         assert_identical(warm, serial_result)
@@ -84,9 +84,9 @@ class TestDeterminism:
     def test_warm_cache_with_parallel_jobs(self, tmp_path, corpus_sources,
                                            serial_result):
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         result = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)),
+            cache=ObjectStore(str(tmp_path)),
             jobs=3)).run(corpus_sources)
         assert_identical(result, serial_result)
 
@@ -94,10 +94,10 @@ class TestDeterminism:
                                                   corpus_sources):
         sources = dict(corpus_sources)
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(sources)
+            cache=ObjectStore(str(tmp_path)))).run(sources)
         path = sorted(sources)[0]
         sources[path] = sources[path] + "\nint appended_global;\n"
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         result = AssessmentPipeline(
             PipelineConfig(cache=cache)).run(sources)
         # one parse miss + one checker-bundle miss; everything else hits
@@ -140,9 +140,9 @@ class TestChunking:
             chunk_evenly([1], 0)
 
 
-class TestResultCache:
+class TestObjectStoreCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         key = cache.key_for(PARSE_TAG, "a.cc", "int x;\n")
         assert cache.get(key) is CACHE_MISS
         assert cache.put(key, {"value": [1, 2, 3]})
@@ -150,15 +150,15 @@ class TestResultCache:
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_key_depends_on_every_part(self):
-        base = ResultCache.key_for(PARSE_TAG, "a.cc", "int x;\n")
-        assert ResultCache.key_for(PARSE_TAG, "b.cc", "int x;\n") != base
-        assert ResultCache.key_for(PARSE_TAG, "a.cc", "int y;\n") != base
-        assert ResultCache.key_for(CHECK_TAG, "a.cc", "int x;\n") != base
-        assert ResultCache.key_for(PARSE_TAG, "a.cc", "int x;\n",
+        base = ObjectStore.key_for(PARSE_TAG, "a.cc", "int x;\n")
+        assert ObjectStore.key_for(PARSE_TAG, "b.cc", "int x;\n") != base
+        assert ObjectStore.key_for(PARSE_TAG, "a.cc", "int y;\n") != base
+        assert ObjectStore.key_for(CHECK_TAG, "a.cc", "int x;\n") != base
+        assert ObjectStore.key_for(PARSE_TAG, "a.cc", "int x;\n",
                                    "style:2") != base
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         key = cache.key_for(PARSE_TAG, "a.cc", "int x;\n")
         cache.put(key, "fine")
         entry = tmp_path / key[:2] / (key + ".pkl")
@@ -168,7 +168,7 @@ class TestResultCache:
     def test_unwritable_root_degrades_gracefully(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        cache = ResultCache(str(blocker))
+        cache = ObjectStore(str(blocker))
         key = cache.key_for(PARSE_TAG, "a.cc", "int x;\n")
         assert not cache.put(key, "value")
         assert cache.get(key) is CACHE_MISS
@@ -179,7 +179,7 @@ class TestResultCache:
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         result = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(blocker)))).run(corpus_sources)
+            cache=ObjectStore(str(blocker)))).run(corpus_sources)
         assert_identical(result, serial_result)
 
 
@@ -242,13 +242,13 @@ class TestFingerprintInvalidation:
                                                        corpus_sources):
         from repro.rules import RuleProfile
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         files = len(corpus_sources)
 
         # A profile touching a per-unit checker's rules: parse entries
         # hit, every checker bundle misses (the bundle key joins all
         # per-unit fingerprints).
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         AssessmentPipeline(PipelineConfig(
             cache=cache,
             rules=RuleProfile(disable=("SG.*",)))).run(corpus_sources)
@@ -256,7 +256,7 @@ class TestFingerprintInvalidation:
         assert cache.misses == files  # every checker bundle
 
         # Re-running with the identical profile hits everything.
-        rerun = ResultCache(str(tmp_path))
+        rerun = ObjectStore(str(tmp_path))
         AssessmentPipeline(PipelineConfig(
             cache=rerun,
             rules=RuleProfile(disable=("SG.*",)))).run(corpus_sources)
@@ -267,10 +267,10 @@ class TestFingerprintInvalidation:
                                                 corpus_sources):
         from repro.rules import RuleProfile
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         # AR rules belong to the architecture checker, which is
         # project-level: per-unit bundles stay valid.
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         AssessmentPipeline(PipelineConfig(
             cache=cache,
             rules=RuleProfile(disable=("AR2.*",)))).run(corpus_sources)
@@ -284,10 +284,10 @@ class TestFingerprintInvalidation:
         reference = AssessmentPipeline(
             PipelineConfig(rules=profile)).run(corpus_sources)
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)),
+            cache=ObjectStore(str(tmp_path)),
             rules=profile)).run(corpus_sources)
         warm = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)), jobs=3,
+            cache=ObjectStore(str(tmp_path)), jobs=3,
             rules=profile)).run(corpus_sources)
         assert_identical(warm, reference)
         assert warm.reports["style"].finding_count == 0
@@ -298,11 +298,11 @@ class TestParallelTelemetry:
     def test_worker_spans_and_cache_counters(self, tmp_path,
                                              corpus_sources):
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         tracer = Tracer()
         AssessmentPipeline(PipelineConfig(
             tracer=tracer, jobs=4,
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         metrics = tracer.metrics
         files = len(corpus_sources)
         assert metrics.counter_value("cache.hits", stage="parse") == files
@@ -318,12 +318,12 @@ class TestParallelTelemetry:
         from repro.obs import EventLog, render_prometheus
         from repro.testing import corrupt_cache_entries
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         assert corrupt_cache_entries(
-            ResultCache(str(tmp_path)), count=1) == 1
+            ObjectStore(str(tmp_path)), count=1) == 1
         tracer = Tracer()
         stream = io.StringIO()
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         AssessmentPipeline(PipelineConfig(
             tracer=tracer, cache=cache,
             log=EventLog(stream))).run(corpus_sources)
@@ -377,22 +377,33 @@ class TestParallelTelemetry:
 
 class TestCliParallelFlags:
     def test_jobs_and_cache_flags(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
+        store_dir = tmp_path / "store"
         assert main(["--corpus", "0.02", "--jobs", "2",
-                     "--cache", str(cache_dir)]) == 0
+                     "--store", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "cache: 0 hits" in out
         assert main(["--corpus", "0.02", "--jobs", "2",
-                     "--cache", str(cache_dir)]) == 0
+                     "--store", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "0 misses" in out
 
     def test_no_cache_overrides_cache(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main(["--corpus", "0.02", "--cache", str(cache_dir),
+        """``--store DIR --no-cache`` records the run but caches
+        nothing."""
+        store_dir = tmp_path / "store"
+        assert main(["--corpus", "0.02", "--store", str(store_dir),
                      "--no-cache"]) == 0
-        assert not cache_dir.exists()
-        assert "cache:" not in capsys.readouterr().out
+        assert not (store_dir / "objects").exists()
+        out = capsys.readouterr().out
+        assert "cache:" not in out
+        records = RunHistory(str(store_dir)).records()
+        assert len(records) == 1
+        assert f"run {records[0].run_id} recorded to" in out
+        assert records[0].cache == {} and records[0].objects == []
+
+    def test_no_cache_requires_store(self, capsys):
+        assert main(["--corpus", "0.02", "--no-cache"]) == 2
+        assert "--no-cache requires --store" in capsys.readouterr().err
 
     def test_negative_jobs_clean_error(self, capsys):
         assert main(["--corpus", "0.02", "--jobs", "-3"]) == 2

@@ -14,7 +14,7 @@ from repro.corpus import apollo_spec, generate_corpus
 from repro.iso26262.asil import Asil
 from repro.iso26262.compliance import ComplianceThresholds
 from repro.obs import Tracer
-from repro.obs.runlog import STAGE_NAMES
+from repro.store import STAGE_NAMES
 from repro.rules import RuleProfile
 from repro.testing import Fault, FaultPlan
 

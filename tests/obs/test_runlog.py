@@ -1,21 +1,23 @@
-"""Run ledger: record schema stability, append/read round-trips, the
-record builder, and the CLI ``--ledger`` integration."""
+"""Run history: record schema stability, append/read round-trips, the
+record builder, and the CLI ``--store`` run-recording integration."""
 
 import json
 
 import pytest
 
-from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.core.cli import main
-from repro.obs import (
+from repro.obs import Tracer
+from repro.store import (
+    FAULT_COUNTERS,
     LEDGER_SCHEMA,
-    RunLedger,
+    STAGE_NAMES,
+    ObjectStore,
+    RunHistory,
     RunRecord,
-    Tracer,
     build_run_record,
     new_run_id,
 )
-from repro.obs.runlog import FAULT_COUNTERS, STAGE_NAMES
 
 
 def make_record(run_id="run-000000000", findings=None, stages=None,
@@ -59,9 +61,9 @@ class TestRunRecord:
         int(first, 16)  # hex
 
 
-class TestRunLedger:
+class TestRunHistory:
     def test_append_and_read_back(self, tmp_path):
-        ledger = RunLedger(str(tmp_path / "ledger"))
+        ledger = RunHistory(str(tmp_path / "ledger"))
         for index in range(3):
             ledger.append(make_record(run_id=f"run-{index}"))
         records = ledger.records()
@@ -69,7 +71,7 @@ class TestRunLedger:
         assert ledger.tail(2)[0].run_id == "run-1"
 
     def test_corrupt_line_skipped_and_counted(self, tmp_path):
-        ledger = RunLedger(str(tmp_path))
+        ledger = RunHistory(str(tmp_path))
         ledger.append(make_record(run_id="keep-1"))
         with open(ledger.path, "a", encoding="utf-8") as handle:
             handle.write("{torn json\n")
@@ -81,7 +83,7 @@ class TestRunLedger:
 
     def test_missing_ledger_raises(self, tmp_path):
         with pytest.raises(OSError):
-            RunLedger(str(tmp_path / "absent")).records()
+            RunHistory(str(tmp_path / "absent")).records()
 
 
 class TestBuildRunRecord:
@@ -89,7 +91,7 @@ class TestBuildRunRecord:
                                                 small_corpus):
         sources = small_corpus.sources()
         tracer = Tracer()
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         config = PipelineConfig(tracer=tracer, cache=cache, jobs=2)
         result = AssessmentPipeline(config).run(sources)
         record = build_run_record(
@@ -129,13 +131,13 @@ class TestBuildRunRecord:
 
 class TestCliLedger:
     def test_two_runs_append_two_records(self, tmp_path, capsys):
-        ledger_dir = tmp_path / "ledger"
+        store_dir = tmp_path / "ledger"
         for _ in range(2):
             assert main(["--corpus", "0.02",
-                         "--ledger", str(ledger_dir)]) == 0
+                         "--store", str(store_dir)]) == 0
             out = capsys.readouterr().out
             assert "recorded to" in out
-        records = RunLedger(str(ledger_dir)).records()
+        records = RunHistory(str(store_dir)).records()
         assert len(records) == 2
         assert records[0].run_id != records[1].run_id
         # identical invocations share fingerprints (the trend window)
@@ -154,5 +156,5 @@ class TestCliLedger:
         blocker = tmp_path / "file.txt"
         blocker.write_text("not a directory")
         assert main(["--corpus", "0.02",
-                     "--ledger", str(blocker / "sub")]) == 2
-        assert "cannot write run ledger" in capsys.readouterr().err
+                     "--store", str(blocker / "sub")]) == 2
+        assert "cannot record run to store" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Trend reporting and regression gating: ``repro-trends``.
 
 Detector unit tests run over hand-built records; the end-to-end test
-builds a real ledger from pipeline runs and injects a finding spike
+builds a real run history from pipeline runs and injects a finding spike
 with the fault harness, asserting the CI-gating non-zero exit.
 """
 
@@ -9,8 +9,7 @@ import json
 
 import pytest
 
-from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
-from repro.obs import RunLedger, build_run_record
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.obs.trends import (
     comparable_window,
     detect_regressions,
@@ -20,6 +19,7 @@ from repro.obs.trends import (
     stage_slowdowns,
     trends_document,
 )
+from repro.store import ObjectStore, RunHistory, build_run_record
 from repro.testing import Fault, FaultPlan, FaultyChecker
 
 from .test_runlog import make_record
@@ -123,7 +123,7 @@ class TestRendering:
 
 class TestMain:
     def _seed_ledger(self, directory, spiked=False):
-        ledger = RunLedger(str(directory))
+        ledger = RunHistory(str(directory))
         for index in range(3):
             ledger.append(make_record(run_id=f"base-{index}",
                                       findings={"SG.x": 2}))
@@ -134,32 +134,40 @@ class TestMain:
 
     def test_clean_ledger_exits_0(self, tmp_path, capsys):
         self._seed_ledger(tmp_path)
-        assert main(["--ledger", str(tmp_path)]) == 0
+        assert main(["--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "base-0" in out and "No regressions detected." in out
 
     def test_regression_exits_1(self, tmp_path, capsys):
         self._seed_ledger(tmp_path, spiked=True)
-        assert main(["--ledger", str(tmp_path)]) == 1
+        assert main(["--store", str(tmp_path)]) == 1
         assert "REGRESSION [rule SG.x]" in capsys.readouterr().out
 
     def test_thresholds_are_flaggable(self, tmp_path):
         self._seed_ledger(tmp_path, spiked=True)
-        assert main(["--ledger", str(tmp_path),
+        assert main(["--store", str(tmp_path),
                      "--min-delta", "10"]) == 0
 
+    def test_default_store_is_dot_repro(self, tmp_path, monkeypatch,
+                                        capsys):
+        self._seed_ledger(tmp_path / ".repro")
+        monkeypatch.chdir(tmp_path)
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        assert "base-0" in out and "last 3 run(s)" in out
+
     def test_missing_ledger_exits_2(self, tmp_path, capsys):
-        assert main(["--ledger", str(tmp_path / "absent")]) == 2
+        assert main(["--store", str(tmp_path / "absent")]) == 2
         assert "cannot read run ledger" in capsys.readouterr().err
 
     def test_bad_last_exits_2(self, tmp_path, capsys):
-        assert main(["--ledger", str(tmp_path), "--last", "0"]) == 2
+        assert main(["--store", str(tmp_path), "--last", "0"]) == 2
         assert "--last" in capsys.readouterr().err
 
     def test_json_report_written(self, tmp_path, capsys):
         self._seed_ledger(tmp_path, spiked=True)
         report = tmp_path / "trends.json"
-        assert main(["--ledger", str(tmp_path),
+        assert main(["--store", str(tmp_path),
                      "--json", str(report)]) == 1
         document = json.loads(report.read_text())
         assert document["regressed"] is True
@@ -170,7 +178,7 @@ class TestMain:
         self._seed_ledger(tmp_path)
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
-        assert main(["--ledger", str(tmp_path),
+        assert main(["--store", str(tmp_path),
                      "--json", str(blocker / "t.json")]) == 2
         assert "cannot write trends JSON" in capsys.readouterr().err
 
@@ -182,12 +190,12 @@ class TestEndToEndSpike:
         crashes: ``internal.checker_crash`` spikes and gates CI."""
         sources = small_corpus.sources()
         targets = sorted(sources)[:3]
-        ledger = RunLedger(str(tmp_path / "ledger"))
+        ledger = RunHistory(str(tmp_path / "ledger"))
 
         def record_run(plan, run_id):
             # cache-less engine path (cache dir per run) so containment
             # is per unit: each fault becomes one crash finding
-            cache = ResultCache(str(tmp_path / f"cache-{run_id}"))
+            cache = ObjectStore(str(tmp_path / f"cache-{run_id}"))
             config = PipelineConfig(
                 cache=cache, extra_checkers=(FaultyChecker(plan),))
             result = AssessmentPipeline(config).run(sources)
@@ -206,7 +214,7 @@ class TestEndToEndSpike:
         assert faulted.degraded
         assert len(faulted.crashes) == 3
 
-        assert main(["--ledger", str(tmp_path / "ledger")]) == 1
+        assert main(["--store", str(tmp_path / "ledger")]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION [rule internal.checker_crash]" in out
         assert "3 finding(s) in run faulted" in out

@@ -1,8 +1,8 @@
 """The shared report model: aggregation agrees with the result."""
 
-from repro.obs import RunLedger
 from repro.report import build_report_model
 from repro.rules import REGISTRY
+from repro.store import RunHistory
 
 from ..obs.test_runlog import make_record
 
@@ -76,19 +76,19 @@ class TestTrends:
         assert report_model.trends is None
 
     def test_window_and_series(self, tmp_path, deviation_model):
-        ledger = RunLedger(str(tmp_path))
+        history = RunHistory(str(tmp_path))
         for index in range(2):
-            ledger.append(make_record(run_id=f"old-{index}",
+            history.append(make_record(run_id=f"old-{index}",
                                       config_fp="cfgA",
                                       findings={"GV.mutable_global": 4}))
         for index in range(3):
-            ledger.append(make_record(run_id=f"new-{index}",
+            history.append(make_record(run_id=f"new-{index}",
                                       config_fp="cfgB",
                                       findings={"GV.mutable_global":
                                                 index + 1}))
         model = build_report_model(
             deviation_model.result, deviation_model.sources,
-            ledger=ledger)
+            history=history)
         trends = model.trends
         assert trends.window_size == 5
         assert trends.matched_runs == 3
@@ -100,7 +100,7 @@ class TestTrends:
                                            deviation_model):
         model = build_report_model(
             deviation_model.result, deviation_model.sources,
-            ledger=RunLedger(str(tmp_path / "absent")))
+            history=RunHistory(str(tmp_path / "absent")))
         assert model.trends is None
 
 

@@ -3,9 +3,10 @@
 import os
 import pickle
 
-from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.core.cache import CACHE_MISS
 from repro.errors import LexError, ParseError, SourceError
+from repro.store import ObjectStore
 from repro.testing import (
     Fault,
     FaultPlan,
@@ -29,11 +30,11 @@ class TestCorruptEntries:
     def test_corrupt_entries_recomputed(self, corpus_sources, tmp_path,
                                         benign_result):
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)),
+            cache=ObjectStore(str(tmp_path)),
             extra_checkers=(FaultyChecker(FaultPlan()),),
         )).run(corpus_sources)
-        assert corrupt_cache_entries(ResultCache(str(tmp_path)), 3) == 3
-        cache = ResultCache(str(tmp_path))
+        assert corrupt_cache_entries(ObjectStore(str(tmp_path)), 3) == 3
+        cache = ObjectStore(str(tmp_path))
         result = AssessmentPipeline(PipelineConfig(
             cache=cache,
             extra_checkers=(FaultyChecker(FaultPlan()),),
@@ -44,7 +45,7 @@ class TestCorruptEntries:
         assert result.reports == benign_result.reports
 
     def test_corrupt_get_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         key = cache.key_for("stage:1", "a.cc", "int x;")
         assert cache.put(key, {"value": 1})
         corrupt_cache_entries(cache, 1)
@@ -53,14 +54,14 @@ class TestCorruptEntries:
 
 class TestPutContainment:
     def test_unpicklable_value_put_fails_cleanly(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         key = cache.key_for("stage:1", "a.cc", "int x;")
         assert cache.put(key, unpicklable_value()) is False
         assert cache.get(key) is CACHE_MISS
         assert _tmp_files(str(tmp_path)) == []  # temp cleaned up
 
     def test_recursive_value_put_fails_cleanly(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         key = cache.key_for("stage:1", "b.cc", "int y;")
         nested = []
         for _ in range(100000):
@@ -75,7 +76,7 @@ class TestPutContainment:
         plan = FaultPlan([Fault("unpicklable", site="check_unit",
                                 path=target_path)])
         result = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)),
+            cache=ObjectStore(str(tmp_path)),
             extra_checkers=(FaultyChecker(plan),))).run(corpus_sources)
         assert not result.degraded
         assert_others_unchanged(result, benign_result)
@@ -84,7 +85,7 @@ class TestPutContainment:
 
 class TestStaleTempSweep:
     def test_stale_temps_swept_on_first_write(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         stale = plant_stale_tmp(cache, 3)
         live = os.path.join(str(tmp_path), "00",
                             f"live.pkl.tmp.{os.getpid()}")
@@ -96,7 +97,7 @@ class TestStaleTempSweep:
         assert os.path.exists(live)  # a live writer's temp survives
 
     def test_sweep_stale_counts(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         plant_stale_tmp(cache, 2)
         assert cache.sweep_stale() == 2
         assert cache.sweep_stale() == 0
@@ -127,7 +128,7 @@ class TestSourceErrorPickle:
         assert str(twice) == str(error) == "x.cu:3:9: bad char"
 
     def test_parse_error_survives_result_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         from repro.core.parallel import ParseOutcome
         error = ParseError("bad decl", "m/z.cc", 7, 2)
         key = cache.key_for("parse-test:1", "m/z.cc", "source")

@@ -5,10 +5,11 @@ import pytest
 
 from repro.checkers.base import Checker, CheckerReport, Finding, \
     run_checkers
-from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.errors import ComplianceError
 from repro.lang import parse_translation_unit
 from repro.rules import CHECKER_CRASH
+from repro.store import ObjectStore
 from repro.testing import Fault, FaultInjected, FaultPlan, FaultyChecker
 
 from .conftest import assert_others_unchanged
@@ -135,7 +136,7 @@ class TestContainmentBoundaries:
                                                 tmp_path):
         # The cache forces the engine path even at jobs=1.
         result = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)),
+            cache=ObjectStore(str(tmp_path)),
             extra_checkers=(_FinalizeCrash(),))).run(corpus_sources)
         assert result.degraded
         assert result.crashes[0].stage == "finalize"
@@ -174,7 +175,7 @@ class TestContainmentBoundaries:
                                           target_path, tmp_path):
         import os
         import pickle
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         result = AssessmentPipeline(crashing_config(
             target_path, cache=cache, jobs=2)).run(corpus_sources)
         assert result.degraded

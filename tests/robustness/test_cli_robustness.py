@@ -6,11 +6,12 @@ import os
 
 import pytest
 
-from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.core.cli import main
 from repro.core.pipeline import AssessmentPipeline as _Pipeline
 from repro.corpus import apollo_spec, generate_corpus
 from repro.corpus.writer import read_tree
+from repro.store import Store
 from repro.testing import (
     Fault,
     FaultInjected,
@@ -61,16 +62,16 @@ class TestDegradedExitCode:
                                  inject_crash, tmp_path, capsys):
         """One crashing checker + one corrupt cache entry: exit 3, the
         other checkers' findings unchanged, outputs name the crasher."""
-        cache_dir = str(tmp_path / "cache")
+        store_dir = str(tmp_path / "store")
         json_path = str(tmp_path / "out.json")
         markdown_path = str(tmp_path / "out.md")
         reference = reference_result
 
         # Warm the cache (degraded warm run), then damage one entry.
-        assert main([tree, "--cache", cache_dir]) == 3
-        corrupt_cache_entries(ResultCache(cache_dir), 1)
+        assert main([tree, "--store", store_dir]) == 3
+        corrupt_cache_entries(Store(store_dir).object_store(), 1)
 
-        code = main([tree, "--jobs", "2", "--cache", cache_dir,
+        code = main([tree, "--jobs", "2", "--store", store_dir,
                      "--json", json_path, "--markdown", markdown_path])
         assert code == 3
         out = capsys.readouterr().out

@@ -29,10 +29,6 @@ class TestArgumentValidation:
         assert main([tree, "--watch", tree, "--tcp", "h:1"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_store_and_cache_conflict(self, tree, capsys):
-        assert main([tree, "--store", "s", "--cache", "c"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flags", [
         ("--interval", "0"),
         ("--iterations", "-1"),

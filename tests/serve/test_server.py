@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from repro.core import MemoryCache, ResultCache
+from repro.core import MemoryCache
 from repro.rules import REGISTRY, RuleProfile
 from repro.serve import AssessmentServer, encode_reply, run_stdio
 from repro.store import Store
@@ -114,8 +114,8 @@ class TestContainment:
 
     def test_corrupt_cache_entry_degrades_nothing_fatal(self, tree,
                                                         tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        server = AssessmentServer(tree, cache=cache)
+        server = AssessmentServer(tree, store=Store(str(tmp_path / "s")))
+        cache = server.cache
         first = assess(server)
         # rot every on-disk entry, then force re-reads
         for _, path in cache.entries():
@@ -354,13 +354,6 @@ class TestStoreBackedServing:
             record = list(store.history().records())[-1]
             assert len(keys) == 4
             assert set(record.objects) == keys
-
-    def test_ledger_dir_serving(self, tree, tmp_path):
-        from repro.obs import RunLedger
-        ledger_dir = str(tmp_path / "ledger")
-        server = AssessmentServer(tree, ledger_dir=ledger_dir)
-        assess(server)
-        assert len(list(RunLedger(ledger_dir).records())) == 1
 
 
 class TestStdioLoop:

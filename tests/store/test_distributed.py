@@ -7,9 +7,11 @@ one single-process run — and ``repro-trends`` works over the merged
 history.
 """
 
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.core.cli import main as assess
+from repro.corpus import apollo_spec, generate_corpus
 from repro.obs.trends import main as trends
-from repro.store import RunHistory, Store
+from repro.store import ObjectStore, RunHistory, Store, build_run_record
 from repro.store.cli import main as store_admin
 
 SCALE = "0.02"
@@ -117,17 +119,18 @@ class TestManifestObjects:
     def test_store_run_pins_objects_plain_cache_does_not(self, tmp_path,
                                                          capsys):
         store = str(tmp_path / "store")
-        cache = str(tmp_path / "cache")
-        ledger = str(tmp_path / "ledger")
         code, _ = run_quiet(capsys, ["--corpus", SCALE, "--store", store])
         assert code == 0
         record = RunHistory(store).records()[-1]
         assert record.objects  # every key the run read or wrote
         assert all(len(key) == 64 for key in record.objects)
-        code, _ = run_quiet(capsys, [
-            "--corpus", SCALE, "--cache", cache, "--ledger", ledger])
-        assert code == 0
-        assert RunHistory(ledger).records()[-1].objects == []
+        # a bare object area, outside any store, pins nothing
+        sources = generate_corpus(apollo_spec(scale=float(SCALE))).sources()
+        cache = ObjectStore(str(tmp_path / "cache"))
+        result = AssessmentPipeline(PipelineConfig(cache=cache)).run(sources)
+        assert cache.referenced
+        assert build_run_record(result, run_id="x", duration=0.0,
+                                exit_code=0, cache=cache).objects == []
 
 
 class TestMergeFrom:
@@ -144,6 +147,16 @@ class TestMergeFrom:
         # the foreign store was only read
         assert len(RunHistory(warm).records()) == 1
 
+    def test_missing_source_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent")
+        assert assess(["--corpus", SCALE, "--store",
+                       str(tmp_path / "store"),
+                       "--merge-from", missing]) == 2
+        captured = capsys.readouterr()
+        assert "cannot merge into store" in captured.err
+        assert missing in captured.err
+        assert "merged" not in captured.out
+
 
 class TestStoreFlagValidation:
     def test_shard_requires_store(self, capsys):
@@ -154,12 +167,6 @@ class TestStoreFlagValidation:
         assert assess(["--corpus", SCALE,
                        "--merge-from", str(tmp_path)]) == 2
         assert "--merge-from requires --store" in capsys.readouterr().err
-
-    def test_store_and_cache_conflict(self, tmp_path, capsys):
-        assert assess(["--corpus", SCALE,
-                       "--store", str(tmp_path / "s"),
-                       "--cache", str(tmp_path / "c")]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_bad_shard_spec_exits_2(self, tmp_path, capsys):
         for spec in ("3/2", "0/2", "x/2", "2", "2/0", "1/2/3"):

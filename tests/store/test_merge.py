@@ -10,13 +10,14 @@ import multiprocessing
 import os
 import random
 
+import pytest
+
 from repro.store import (
     LEDGER_FILENAME,
     ObjectStore,
     RunHistory,
     RunRecord,
     Store,
-    import_ledger,
     merge_into,
     merge_shards,
 )
@@ -148,16 +149,28 @@ class TestLedgerImport:
         ledger.append(make_record("old-run-2"))
         store = Store(str(tmp_path / "store"))
         RunHistory(store.root).append(make_record("new-run"))
-        stats = import_ledger(store, str(legacy))
+        stats = merge_into(store, sources=[str(legacy)])
         assert stats.runs_added == 2
         run_ids = sorted(r.run_id for r in RunHistory(store.root).records())
         assert run_ids == ["new-run", "old-run-1", "old-run-2"]
         # importing again is a no-op (idempotent)
-        again = import_ledger(store, str(legacy))
+        again = merge_into(store, sources=[str(legacy)])
         assert again.runs_added == 0 and again.runs_known == 2
+        assert again.sources == [str(legacy)]
         # the legacy directory was only read
         assert [r.run_id for r in RunHistory(str(legacy)).records()] == \
             ["old-run-1", "old-run-2"]
+
+
+class TestMissingSource:
+    def test_missing_source_raises_before_merging(self, tmp_path):
+        store = Store(str(tmp_path / "store"))
+        fill_shard(store, "shard-a", ["r1"], [])
+        with pytest.raises(OSError, match="absent"):
+            merge_into(store, sources=[str(tmp_path / "absent")])
+        # nothing was folded in: the shard still awaits a merge
+        assert len(store.shards()) == 1
+        assert not os.path.exists(store.history().path)
 
 
 def _concurrent_writer(arguments):

@@ -38,7 +38,7 @@ class TestMergeCommand:
         RunHistory(legacy).append(RunRecord(
             run_id="old", timestamp="2025-01-01T00:00:00+00:00"))
         report = str(tmp_path / "merge.json")
-        assert main(["merge", root, "--from-ledger", legacy,
+        assert main(["merge", root, "--from", legacy,
                      "--json", report]) == 0
         capsys.readouterr()
         with open(report, "r", encoding="utf-8") as handle:
@@ -47,6 +47,15 @@ class TestMergeCommand:
         assert document["sources"] == [legacy]
         assert [r.run_id for r in Store(root).history().records()] == \
             ["old"]
+
+    def test_missing_source_exits_2(self, tmp_path, capsys):
+        root = str(tmp_path / "store")
+        missing = str(tmp_path / "absent")
+        assert main(["merge", root, "--from", missing]) == 2
+        captured = capsys.readouterr()
+        assert "cannot merge into store" in captured.err
+        assert missing in captured.err
+        assert "source(s)" not in captured.out
 
     def test_keep_shards(self, tmp_path, capsys):
         root = str(tmp_path / "store")
