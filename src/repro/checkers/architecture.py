@@ -9,18 +9,30 @@ non-negligible effort.
 
 This checker is project-level: modules are derived from file paths (first
 path component by default), and the cohesion/coupling metrics need the
-whole include and call graphs.
+whole include and call graphs.  It is assembled from per-module partials
+(size, depth, fan-out, cohesion) and per-file partials (oversized
+interfaces, scheduling and interrupt call sites), so a fold across runs
+recomputes only the partials of changed files and their modules —
+cohesion everywhere only when the call graph may have changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Set, Union
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Set, Tuple, Union)
 
 from ..lang.cppmodel import TranslationUnit
 from ..lang.summary import UnitSummary, unit_summaries
 from ..rules import REGISTRY, Rule
-from .base import Checker, CheckerReport, Finding, Severity
+from .base import (
+    Checker,
+    CheckerReport,
+    Finding,
+    ProjectDelta,
+    ReportPartials,
+    Severity,
+)
 
 RULES = REGISTRY.register_many("architecture", (
     Rule("AR2.component_size", "Components shall respect the size limit",
@@ -78,6 +90,36 @@ def module_from_path(filename: str) -> str:
     return "<root>"
 
 
+#: A finding to emit and the call sites it stands for.
+_CallSite = Tuple[Finding, int]
+
+
+class _UnitPartial(NamedTuple):
+    """One file's share of the architecture report."""
+
+    module: str
+    interfaces: Tuple[Finding, ...]
+    scheduling: Tuple[_CallSite, ...]
+    interrupts: Tuple[_CallSite, ...]
+
+
+class _ModulePartial(NamedTuple):
+    """One module's share of the architecture report."""
+
+    loc: int
+    depth: int
+    fanout: int
+    cohesion: float
+
+
+class _Partials(NamedTuple):
+    """The architecture report's partials, per file and per module (in
+    order of first appearance)."""
+
+    units: Dict[str, _UnitPartial]
+    modules: Dict[str, _ModulePartial]
+
+
 class ArchitectureChecker(Checker):
     """Implements the seven Table 3 architectural-design checks."""
 
@@ -89,108 +131,155 @@ class ArchitectureChecker(Checker):
         self.module_of = module_of
 
     def check_project(self,
-                      units: Iterable[Union[TranslationUnit, UnitSummary]]
+                      units: Iterable[Union[TranslationUnit, UnitSummary]],
+                      fold: Optional[ProjectDelta] = None
                       ) -> CheckerReport:
         """The seven project-level checks, over the files' summaries
-        (full units are summarized first)."""
+        (full units are summarized first).
+
+        With ``fold`` only the changed files' partials and their
+        modules' are recomputed, and cohesion only when the call graph
+        may have changed; findings come out in the same order.
+        """
         units = unit_summaries(units)
         report = self.new_report(units)
-        modules = self._group_by_module(units)
-
-        hierarchy_depth = self._hierarchy_depth(units)
-        oversized = self._check_component_sizes(modules, report)
-        interface_violations = self._check_interfaces(units, report)
-        cohesion = self._cohesion(modules)
-        fanout = self._coupling(modules, report)
-        scheduling_sites = self._count_calls(units, SCHEDULING_CALLS,
-                                             "AR6.scheduling", report,
-                                             "dynamic thread/timer creation")
-        interrupt_sites = self._count_calls(units, INTERRUPT_CALLS,
-                                            "AR7.interrupt", report,
-                                            "signal/interrupt handling")
-
-        low_cohesion = [name for name, value in cohesion.items()
-                        if value < self.config.min_cohesion]
-        flagged_cohesion = 0
-        for name in sorted(low_cohesion):
-            if report.emit(Finding(
-                    rule="AR4.cohesion",
-                    message=(f"module {name!r} cohesion "
-                             f"{cohesion[name]:.2f} below "
-                             f"{self.config.min_cohesion:.2f}"),
-                    filename=name,
-                    severity=Severity.MINOR,
-            )):
-                flagged_cohesion += 1
-
-        report.stats.update({
-            "modules": len(modules),
-            "hierarchy_depth": hierarchy_depth,
-            "oversized_components": oversized,
-            "oversized_interfaces": interface_violations,
-            "mean_cohesion": (sum(cohesion.values()) / len(cohesion)
-                              if cohesion else 1.0),
-            "low_cohesion_modules": flagged_cohesion,
-            "max_module_fanout": max(fanout.values(), default=0),
-            "coupled_module_pairs": sum(fanout.values()),
-            "scheduling_sites": scheduling_sites,
-            "interrupt_sites": interrupt_sites,
-        })
-        return report
-
-    # ------------------------------------------------------------------
-
-    def _group_by_module(self, units: List[UnitSummary]
-                         ) -> Dict[str, List[UnitSummary]]:
+        previous: Optional[_Partials] = (
+            fold.previous.partials.extra if fold is not None else None)
+        changed = fold.paths() if fold is not None else set()
+        unit_parts: Dict[str, _UnitPartial] = {}
         modules: Dict[str, List[UnitSummary]] = {}
         for unit in units:
-            modules.setdefault(self.module_of(unit.filename), []).append(unit)
-        return modules
+            path = unit.filename
+            part = (previous.units.get(path)
+                    if previous is not None and path not in changed
+                    else None)
+            if part is None:
+                part = self._unit_partial(unit)
+            unit_parts[path] = part
+            modules.setdefault(part.module, []).append(unit)
+        dirty = {unit_parts[path].module for path in changed
+                 if path in unit_parts}
+        if previous is not None:
+            dirty.update(previous.units[path].module for path in changed
+                         if path in previous.units)
+        cohesion = (self._cohesion(modules)
+                    if fold is None or fold.calls_changed() else None)
+        module_parts: Dict[str, _ModulePartial] = {}
+        for name, members in modules.items():
+            part = (previous.modules.get(name)
+                    if previous is not None and name not in dirty else None)
+            if part is None:
+                part = self._module_partial(
+                    name, members, cohesion[name] if cohesion is not None
+                    else previous.modules[name].cohesion)
+            elif cohesion is not None:
+                part = part._replace(cohesion=cohesion[name])
+            module_parts[name] = part
 
-    @staticmethod
-    def _hierarchy_depth(units: List[UnitSummary]) -> int:
-        depth = 0
-        for unit in units:
-            normalized = unit.filename.replace("\\", "/")
-            depth = max(depth, normalized.count("/"))
-        return depth
-
-    def _check_component_sizes(self,
-                               modules: Dict[str, List[UnitSummary]],
-                               report: CheckerReport) -> int:
+        ordered = sorted(module_parts.items())
         oversized = 0
-        for name, members in sorted(modules.items()):
-            loc = sum(unit.line_count for unit in members)
-            if loc > self.config.max_component_loc:
+        for name, part in ordered:
+            if part.loc > self.config.max_component_loc:
                 if report.emit(Finding(
                         rule="AR2.component_size",
-                        message=(f"module {name!r} has {loc} LOC "
+                        message=(f"module {name!r} has {part.loc} LOC "
                                  f"(limit {self.config.max_component_loc})"),
                         filename=name,
                         severity=Severity.MAJOR,
                 )):
                     oversized += 1
-        return oversized
+        parts = [unit_parts[unit.filename] for unit in units]
+        interface_violations = sum(
+            1 for part in parts for finding in part.interfaces
+            if report.emit(finding))
+        for name, part in ordered:
+            if part.fanout > self.config.max_module_fanout:
+                report.emit(Finding(
+                    rule="AR5.coupling",
+                    message=(f"module {name!r} depends on {part.fanout} "
+                             f"other modules "
+                             f"(limit {self.config.max_module_fanout})"),
+                    filename=name,
+                    severity=Severity.MAJOR,
+                ))
+        scheduling_sites = sum(hits for part in parts
+                               for finding, hits in part.scheduling
+                               if report.emit(finding))
+        interrupt_sites = sum(hits for part in parts
+                              for finding, hits in part.interrupts
+                              if report.emit(finding))
 
-    def _check_interfaces(self,
-                          units: List[Union[TranslationUnit, UnitSummary]],
-                          report: CheckerReport) -> int:
-        violations = 0
-        for unit in units:
-            for class_info in unit.classes:
-                if class_info.interface_size > self.config.max_interface_methods:
-                    if report.emit(Finding(
-                            rule="AR3.interface_size",
-                            message=(f"class {class_info.qualified_name!r} "
-                                     f"exposes {class_info.interface_size} "
-                                     f"public methods (limit "
-                                     f"{self.config.max_interface_methods})"),
-                            filename=unit.filename,
-                            line=class_info.start_line,
-                            severity=Severity.MINOR,
-                    )):
-                        violations += 1
-        return violations
+        flagged_cohesion = 0
+        for name, part in ordered:
+            if part.cohesion < self.config.min_cohesion:
+                if report.emit(Finding(
+                        rule="AR4.cohesion",
+                        message=(f"module {name!r} cohesion "
+                                 f"{part.cohesion:.2f} below "
+                                 f"{self.config.min_cohesion:.2f}"),
+                        filename=name,
+                        severity=Severity.MINOR,
+                )):
+                    flagged_cohesion += 1
+
+        fanouts = [part.fanout for part in module_parts.values()]
+        report.stats.update({
+            "modules": len(module_parts),
+            "hierarchy_depth": max((part.depth
+                                    for part in module_parts.values()),
+                                   default=0),
+            "oversized_components": oversized,
+            "oversized_interfaces": interface_violations,
+            "mean_cohesion": (sum(part.cohesion
+                                  for part in module_parts.values())
+                              / len(module_parts)
+                              if module_parts else 1.0),
+            "low_cohesion_modules": flagged_cohesion,
+            "max_module_fanout": max(fanouts, default=0),
+            "coupled_module_pairs": sum(fanouts),
+            "scheduling_sites": scheduling_sites,
+            "interrupt_sites": interrupt_sites,
+        })
+        report.partials = ReportPartials(
+            rule_counts=report.count_by_rule(),
+            extra=_Partials(unit_parts, module_parts))
+        return report
+
+    # ------------------------------------------------------------------
+
+    def _unit_partial(self, unit: UnitSummary) -> _UnitPartial:
+        return _UnitPartial(
+            module=self.module_of(unit.filename),
+            interfaces=tuple(self._interface_findings(unit)),
+            scheduling=tuple(self._call_sites(
+                unit, SCHEDULING_CALLS, "AR6.scheduling",
+                "dynamic thread/timer creation")),
+            interrupts=tuple(self._call_sites(
+                unit, INTERRUPT_CALLS, "AR7.interrupt",
+                "signal/interrupt handling")))
+
+    def _module_partial(self, name: str, members: List[UnitSummary],
+                        cohesion: float) -> _ModulePartial:
+        return _ModulePartial(
+            loc=sum(unit.line_count for unit in members),
+            depth=max(unit.filename.replace("\\", "/").count("/")
+                      for unit in members),
+            fanout=self._fanout(name, members),
+            cohesion=cohesion)
+
+    def _interface_findings(self, unit: UnitSummary) -> Iterable[Finding]:
+        for class_info in unit.classes:
+            if class_info.interface_size > self.config.max_interface_methods:
+                yield Finding(
+                    rule="AR3.interface_size",
+                    message=(f"class {class_info.qualified_name!r} "
+                             f"exposes {class_info.interface_size} "
+                             f"public methods (limit "
+                             f"{self.config.max_interface_methods})"),
+                    filename=unit.filename,
+                    line=class_info.start_line,
+                    severity=Severity.MINOR,
+                )
 
     def _cohesion(self, modules: Dict[str, List[UnitSummary]]
                   ) -> Dict[str, float]:
@@ -221,47 +310,29 @@ class ArchitectureChecker(Checker):
             cohesion[name] = internal / resolvable if resolvable else 1.0
         return cohesion
 
-    def _coupling(self, modules: Dict[str, List[UnitSummary]],
-                  report: CheckerReport) -> Dict[str, int]:
-        """Cross-module include fan-out per module (Table 3 item 5)."""
-        fanout: Dict[str, int] = {}
-        for name, members in sorted(modules.items()):
-            targets: Set[str] = set()
-            for unit in members:
-                for include in unit.local_includes:
-                    target_module = self.module_of(include.target)
-                    if target_module not in ("<root>", name):
-                        targets.add(target_module)
-            fanout[name] = len(targets)
-            if len(targets) > self.config.max_module_fanout:
-                report.emit(Finding(
-                    rule="AR5.coupling",
-                    message=(f"module {name!r} depends on {len(targets)} "
-                             f"other modules "
-                             f"(limit {self.config.max_module_fanout})"),
-                    filename=name,
-                    severity=Severity.MAJOR,
-                ))
-        return fanout
+    def _fanout(self, name: str, members: List[UnitSummary]) -> int:
+        """Cross-module include fan-out of one module (Table 3 item 5)."""
+        targets: Set[str] = set()
+        for unit in members:
+            for include in unit.local_includes:
+                target_module = self.module_of(include.target)
+                if target_module not in ("<root>", name):
+                    targets.add(target_module)
+        return len(targets)
 
     @staticmethod
-    def _count_calls(units: List[UnitSummary], names: frozenset,
-                     rule: str, report: CheckerReport,
-                     description: str) -> int:
-        sites = 0
-        for unit in units:
-            for function in unit.functions:
-                hits = [call for call in function.calls if call in names]
-                if hits:
-                    if report.emit(Finding(
-                            rule=rule,
-                            message=(f"{function.name!r} performs "
-                                     f"{description} "
-                                     f"({sorted(set(hits))})"),
-                            filename=unit.filename,
-                            line=function.start_line,
-                            severity=Severity.MINOR,
-                            function=function.qualified_name,
-                    )):
-                        sites += len(hits)
-        return sites
+    def _call_sites(unit: UnitSummary, names: frozenset, rule: str,
+                    description: str) -> Iterable[_CallSite]:
+        for function in unit.functions:
+            hits = [call for call in function.calls if call in names]
+            if hits:
+                yield Finding(
+                    rule=rule,
+                    message=(f"{function.name!r} performs "
+                             f"{description} "
+                             f"({sorted(set(hits))})"),
+                    filename=unit.filename,
+                    line=function.start_line,
+                    severity=Severity.MINOR,
+                    function=function.qualified_name,
+                ), len(hits)

@@ -16,13 +16,24 @@ severity overrides) and any inline ``DEVIATION(...)`` comments before it
 lands.  With no profile and no deviations the routing layer is not even
 constructed, so the default path is byte-identical to the pre-rules
 behavior.
+
+A per-unit checker's project report is a *fold* of its per-unit
+reports: :meth:`Checker.finish_from_units` handed a :class:`ProjectDelta`
+(the previous run's project report plus the old and new reports of the
+files that changed) subtracts the old reports and adds the new ones
+instead of merging every unit again.  A cold run is the same fold
+starting from nothing.  What the fold needs beyond the report rides on
+:attr:`CheckerReport.partials`.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import traceback as traceback_module
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from ..engine.index import function_line_index
 from ..engine.interests import UnitSweep
@@ -46,8 +57,12 @@ __all__ = [
     "CheckerCrash",
     "CheckerReport",
     "Finding",
+    "ProjectChange",
+    "ProjectDelta",
+    "ReportPartials",
     "RuleView",
     "Severity",
+    "StatTally",
     "crash_report",
     "enclosing_function_name",
     "finish_checkers",
@@ -186,6 +201,11 @@ class CheckerReport:
     #: Routing context, or ``None`` for the direct (default) path.
     rules: Optional[RuleView] = field(default=None, repr=False,
                                       compare=False)
+    #: What a project report was folded from (:class:`ReportPartials`),
+    #: read by the next run's fold; ``None`` on per-unit reports and on
+    #: reports of checkers that do not fold.
+    partials: Optional["ReportPartials"] = field(default=None, repr=False,
+                                                 compare=False)
 
     @property
     def finding_count(self) -> int:
@@ -242,6 +262,153 @@ def crash_report(checker: str, crash: CheckerCrash) -> CheckerReport:
     report = CheckerReport(checker=checker)
     report.record_crash(crash)
     return report
+
+
+class StatTally(NamedTuple):
+    """Integer stat sums and rule counts of a set of per-unit reports.
+
+    ``carriers`` counts the reports holding each stat key and
+    ``floats`` those whose value for it is a float: a float stat is a
+    derived ratio, which :meth:`Checker.finalize` rewrites, so only the
+    integer contributions are summed.  Folding a report in or out is
+    O(its stats and findings), and the tally equals the one of a fresh
+    left-to-right merge exactly.  Tallies are never mutated:
+    :meth:`folded` builds new dicts.
+    """
+
+    sums: Dict[str, int]
+    carriers: Dict[str, int]
+    floats: Dict[str, int]
+    rules: Dict[str, int]
+
+    @classmethod
+    def of(cls, reports: Iterable[CheckerReport]) -> "StatTally":
+        return cls({}, {}, {}, {}).folded((), reports)
+
+    def folded(self, removed: Iterable[CheckerReport],
+               added: Iterable[CheckerReport]) -> "StatTally":
+        """This tally with ``removed`` subtracted and ``added`` added."""
+        tally = StatTally(dict(self.sums), dict(self.carriers),
+                          dict(self.floats), dict(self.rules))
+        for report in removed:
+            tally._count(report, -1)
+        for report in added:
+            tally._count(report, 1)
+        return tally
+
+    def _count(self, report: CheckerReport, sign: int) -> None:
+        sums, carriers, floats = self.sums, self.carriers, self.floats
+        for key, value in report.stats.items():
+            carried = carriers.get(key, 0) + sign
+            if not carried:
+                del carriers[key]
+                sums.pop(key, None)
+                floats.pop(key, None)
+                continue
+            carriers[key] = carried
+            if isinstance(value, float):
+                floats[key] = floats.get(key, 0) + sign
+                if not floats[key]:
+                    del floats[key]
+            else:
+                sums[key] = sums.get(key, 0) + sign * value
+        rules = self.rules
+        for finding in report.findings:
+            count = rules.get(finding.rule, 0) + sign
+            if count:
+                rules[finding.rule] = count
+            else:
+                del rules[finding.rule]
+
+    def stats(self) -> Dict[str, int]:
+        """The merged integer stats (keys some report carries, none of
+        them as a float)."""
+        floats = self.floats
+        return {key: value for key, value in self.sums.items()
+                if key not in floats}
+
+
+class ReportPartials(NamedTuple):
+    """What a project report was folded from.
+
+    Attributes:
+        rule_counts: :meth:`CheckerReport.count_by_rule` of the report,
+            folded rather than recounted (the evidence reads it).
+        unit_findings: how many leading findings of the report are its
+            per-unit reports' findings, concatenated in unit order (the
+            rest are project-level findings).
+        tally: the per-unit reports' :class:`StatTally` (``None`` for
+            a project-level checker).
+        extra: the checker's own project-level partials.
+    """
+
+    rule_counts: Dict[str, int]
+    unit_findings: int = 0
+    tally: Optional[StatTally] = None
+    extra: Any = None
+
+
+#: One file's side of a fold: its summary and, for a per-unit checker,
+#: its per-unit report (``None`` for a project-level checker).
+FoldedUnit = Tuple[UnitSummary, Optional[CheckerReport]]
+
+
+def _call_pairs(unit: UnitSummary) -> List[Tuple[str, Tuple[str, ...]]]:
+    return [(function.name, function.calls) for function in unit.functions]
+
+
+class ProjectDelta(NamedTuple):
+    """One checker's fold input: its previous project report (with
+    :attr:`~CheckerReport.partials` set) and the files changed since.
+
+    ``removed`` holds the old side of every changed or removed file,
+    ``added`` the new side of every changed or added file, each in path
+    order.  A file that stopped (or started) parsing appears on one
+    side only.
+    """
+
+    previous: CheckerReport
+    removed: Sequence[FoldedUnit]
+    added: Sequence[FoldedUnit]
+
+    def paths(self) -> set:
+        """Every changed, added or removed path."""
+        return ({unit.filename for unit, _ in self.removed}
+                | {unit.filename for unit, _ in self.added})
+
+    def calls_changed(self) -> bool:
+        """True when the project call graph may differ: a file was added
+        or removed, or a changed file's ``(function name, calls)``
+        pairs differ."""
+        before = {unit.filename: unit for unit, _ in self.removed}
+        after = {unit.filename: unit for unit, _ in self.added}
+        if before.keys() != after.keys():
+            return True
+        return any(_call_pairs(before[path]) != _call_pairs(after[path])
+                   for path in after)
+
+
+class ProjectChange(NamedTuple):
+    """What :func:`finish_checkers` folds: the previous run's project
+    reports and the ``(summary, bundle)`` of every changed file, old
+    side and new side (see :class:`ProjectDelta`)."""
+
+    reports: Dict[str, CheckerReport]
+    removed: Sequence[Tuple[UnitSummary, Dict[str, CheckerReport]]]
+    added: Sequence[Tuple[UnitSummary, Dict[str, CheckerReport]]]
+
+    @property
+    def empty(self) -> bool:
+        return not self.removed and not self.added
+
+    def delta(self, checker: "Checker", per_unit: bool) -> ProjectDelta:
+        name = checker.name
+        return ProjectDelta(
+            self.reports[name],
+            [(unit, bundle[name] if per_unit else None)
+             for unit, bundle in self.removed],
+            [(unit, bundle[name] if per_unit else None)
+             for unit, bundle in self.added])
 
 
 class Checker:
@@ -308,7 +475,8 @@ class Checker:
 
     def finish_from_units(self,
                           units: List[Union[TranslationUnit, UnitSummary]],
-                          unit_reports: List[CheckerReport]
+                          unit_reports: List[CheckerReport],
+                          fold: Optional[ProjectDelta] = None
                           ) -> CheckerReport:
         """Assemble the project report from per-unit reports.
 
@@ -323,12 +491,71 @@ class Checker:
         :meth:`finalize`; a checker with extra project-level work (e.g.
         unit design's call-graph recursion pass) overrides this so the
         pipeline can still distribute and cache its per-unit portion.
+
+        ``fold`` (see :meth:`merge_units`) makes the merge incremental;
+        the pipeline passes it only to an implementation that declares
+        the parameter, and the result equals the fold-free one.
         """
         report = CheckerReport(checker=self.name)
-        for unit_report in unit_reports:
-            report.merge(unit_report)
-        self.finalize(report)
+        tally = self.merge_units(report, unit_reports, fold)
+        self.settle(report, tally, unit_reports)
         return report
+
+    def merge_units(self, report: CheckerReport,
+                    unit_reports: Sequence[CheckerReport],
+                    fold: Optional[ProjectDelta] = None) -> StatTally:
+        """Merge ``unit_reports`` into the fresh ``report``; returns
+        their :class:`StatTally`.
+
+        Findings, suppressed findings and crashes are concatenated in
+        unit order and the integer stats set from the tally, exactly as
+        :meth:`CheckerReport.merge` over every unit would.  With
+        ``fold`` the tally is the previous report's, with the changed
+        files' old reports subtracted and their new ones added, so the
+        stats cost O(change).  Float stats are left to
+        :meth:`settle`.
+        """
+        findings, suppressed, crashes = (report.findings,
+                                         report.suppressed, report.crashes)
+        for unit_report in unit_reports:
+            findings.extend(unit_report.findings)
+            if unit_report.suppressed:
+                suppressed.extend(unit_report.suppressed)
+            if unit_report.crashes:
+                crashes.extend(unit_report.crashes)
+        if fold is None:
+            tally = StatTally.of(unit_reports)
+        else:
+            tally = fold.previous.partials.tally.folded(
+                [unit_report for _, unit_report in fold.removed],
+                [unit_report for _, unit_report in fold.added])
+        report.stats.update(tally.stats())
+        return tally
+
+    def settle(self, report: CheckerReport, tally: StatTally,
+               unit_reports: Sequence[CheckerReport],
+               rule_counts: Optional[Dict[str, int]] = None,
+               extra: Any = None) -> None:
+        """:meth:`finalize` a merged report and record its partials.
+
+        A float stat the units carry and :meth:`finalize` did not
+        rewrite gets its left-to-right sum, as a plain merge would have
+        left it.  ``rule_counts`` defaults to the tally's (a checker
+        adding project-level findings passes the combined counts);
+        ``extra`` is the checker's own partial state.
+        """
+        self.finalize(report)
+        for key in tally.floats:
+            if key not in report.stats:
+                total = 0
+                for unit_report in unit_reports:
+                    if key in unit_report.stats:
+                        total = total + unit_report.stats[key]
+                report.stats[key] = total
+        report.partials = ReportPartials(
+            rule_counts=tally.rules if rule_counts is None else rule_counts,
+            unit_findings=sum(tally.rules.values()), tally=tally,
+            extra=extra)
 
     def rules(self):
         """The :class:`~repro.rules.Rule` records this checker emits."""
@@ -492,11 +719,23 @@ def split_checkers(checkers: Sequence[Checker]
              if not _finishes_from_units(checker)])
 
 
+@functools.lru_cache(maxsize=None)
+def _accepts_fold(method) -> bool:
+    """True when ``method`` (a finish or check-project implementation)
+    declares the ``fold`` parameter."""
+    try:
+        return "fold" in inspect.signature(method).parameters
+    except (TypeError, ValueError):
+        return False
+
+
 def finish_checkers(checkers: Sequence[Checker],
                     units: Sequence[Union[TranslationUnit, UnitSummary]],
                     bundles: Sequence[Dict[str, CheckerReport]],
                     tracer=NULL_TRACER, log=NULL_LOG,
-                    strict: bool = False) -> Dict[str, CheckerReport]:
+                    strict: bool = False,
+                    change: Optional[ProjectChange] = None
+                    ) -> Dict[str, CheckerReport]:
     """Every checker's project report: name -> report, in checker order.
 
     ``bundles`` holds one ``{checker name: per-unit report}`` dict per
@@ -505,39 +744,64 @@ def finish_checkers(checkers: Sequence[Checker],
     :meth:`~Checker.finish_from_units`; a project-level one runs
     :meth:`~Checker.check_project` over ``units``.
 
+    With ``change`` — the previous run's reports over the same checkers,
+    and the files changed since — an empty change shares every previous
+    report, and an implementation declaring a ``fold`` parameter whose
+    previous report carries :attr:`~CheckerReport.partials` is handed
+    its :class:`ProjectDelta` instead of starting from nothing.  The
+    reports equal fold-free ones either way.
+
     This is the one place project-level work is contained: a checker
     raising a non-:class:`~repro.errors.ReproError` gets a
     :func:`crash_report` (stage ``"finalize"`` or ``"check_project"``),
     logged as a ``checker.crash`` event, and the remaining checkers
     still run.  ``strict=True`` re-raises instead.  Each checker gets a
-    ``checker`` span with its finding count, and findings are counted
-    under ``checker.findings{checker=...}``.  Duplicate checker names
-    are a :class:`ValueError` (see :func:`require_unique_checker`).
+    ``checker`` span with its finding count (marked ``reused`` when
+    shared), and findings are counted under
+    ``checker.findings{checker=...}``.  Duplicate checker names are a
+    :class:`ValueError` (see :func:`require_unique_checker`).
     """
     reports: Dict[str, CheckerReport] = {}
     for checker in checkers:
         require_unique_checker(checker, reports)
         with tracer.span("checker", name=checker.name) as span:
-            try:
-                if _finishes_from_units(checker):
-                    stage = "finalize"
-                    report = checker.finish_from_units(
-                        units, [bundle[checker.name] for bundle in bundles])
-                else:
-                    stage = "check_project"
-                    report = checker.check_project(units)
-            except ReproError:
-                raise
-            except Exception as error:
-                if strict:
+            per_unit = _finishes_from_units(checker)
+            if per_unit:
+                stage = "finalize"
+                finish = checker.finish_from_units
+            else:
+                stage = "check_project"
+                finish = checker.check_project
+            previous = (change.reports.get(checker.name)
+                        if change is not None else None)
+            fold = None
+            if previous is not None and change.empty:
+                report = previous
+                span.set("reused", 1)
+            else:
+                if previous is not None and previous.partials is not None \
+                        and _accepts_fold(type(checker).finish_from_units
+                                          if per_unit else
+                                          type(checker).check_project):
+                    fold = change.delta(checker, per_unit)
+                try:
+                    args = ([bundle[checker.name] for bundle in bundles],) \
+                        if per_unit else ()
+                    report = (finish(units, *args) if fold is None
+                              else finish(units, *args, fold=fold))
+                except ReproError:
                     raise
-                log.error("checker.crash", checker=checker.name,
-                          stage=stage, span=span.id,
-                          error=f"{type(error).__name__}: {error}")
-                report = crash_report(checker.name, make_crash(
-                    checker.name, stage, error))
-                tracer.metrics.counter("pipeline.checker_crashes").inc()
-                span.set("crashed", 1)
+                except Exception as error:
+                    if strict:
+                        raise
+                    log.error("checker.crash", checker=checker.name,
+                              stage=stage, span=span.id,
+                              error=f"{type(error).__name__}: {error}")
+                    report = crash_report(checker.name, make_crash(
+                        checker.name, stage, error))
+                    tracer.metrics.counter(
+                        "pipeline.checker_crashes").inc()
+                    span.set("crashed", 1)
             span.set("findings", report.finding_count)
         tracer.metrics.counter("checker.findings",
                                checker=checker.name).inc(

@@ -16,18 +16,21 @@ Section 3.5 walks through the ten principles and reports, for Apollo:
 This checker produces one finding stream and one statistics block covering
 all ten items.  Recursion detection is project-level (indirect recursion
 needs the whole call graph), so :meth:`finish_from_units` overrides the
-default.
+default.  Folded across runs, the graph is rebuilt only when a changed
+file's call pairs differ (or a file came or went); otherwise the
+previous cycle set is kept and its findings re-emitted at the changed
+files' fresh locations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..lang.cppmodel import TYPE_KEYWORDS, FunctionInfo, TranslationUnit
 from ..lang.summary import UnitSummary, unit_summaries
 from ..lang.tokens import Token, TokenKind
 from ..rules import REGISTRY, Rule
-from .base import Checker, CheckerReport, Finding, Severity
+from .base import Checker, CheckerReport, Finding, ProjectDelta, Severity
 
 RULES = REGISTRY.register_many("unit_design", (
     Rule("UD1.multi_exit", "One entry and one exit point per function",
@@ -139,20 +142,29 @@ class UnitDesignChecker(Checker):
 
     def finish_from_units(self,
                           units: List[Union[TranslationUnit, UnitSummary]],
-                          unit_reports: List[CheckerReport]
+                          unit_reports: List[CheckerReport],
+                          fold: Optional[ProjectDelta] = None
                           ) -> CheckerReport:
         """Merge the per-unit reports, then run the project-wide
         call-graph recursion pass — the part that genuinely needs every
         unit at once, and only their summaries.  Overriding this (rather
         than :meth:`check_project`) lets the pipeline distribute and
-        cache this checker's per-unit portion like any other."""
+        cache this checker's per-unit portion like any other.  With
+        ``fold``, both the merge and the recursion pass are folded from
+        the previous report (see :meth:`_recursion`)."""
         units = unit_summaries(units)
         report = self.new_report(units, flag_deviations=False)
-        for unit_report in unit_reports:
-            report.merge(unit_report)
-        report.stats["recursive_functions"] = \
-            self._check_recursion(units, report)
-        self.finalize(report)
+        tally = self.merge_units(report, unit_reports, fold)
+        recursion = self._recursion(units, fold)
+        reported = self._report_recursion(recursion, report)
+        report.stats["recursive_functions"] = reported
+        rule_counts = tally.rules
+        if reported:
+            rule_counts = dict(rule_counts)
+            rule_counts["UD10.recursion"] = \
+                rule_counts.get("UD10.recursion", 0) + reported
+        self.settle(report, tally, unit_reports, rule_counts,
+                    extra=recursion)
         return report
 
     def finalize(self, report: CheckerReport) -> None:
@@ -315,14 +327,24 @@ class UnitDesignChecker(Checker):
     # ------------------------------------------------------------------
     # item 10: recursion (direct and indirect)
 
-    def _check_recursion(self, units: List[UnitSummary],
-                         report: CheckerReport) -> int:
-        """Report functions on a call-graph cycle; returns the count.
+    def _recursion(self, units: List[UnitSummary],
+                   fold: Optional[ProjectDelta]
+                   ) -> Tuple[Tuple[str, str, int], ...]:
+        """Functions on a call-graph cycle as sorted ``(name, file,
+        line)`` triples, located at the name's first definition.
 
-        Names are matched project-wide; the count covers only findings
-        that actually landed (disabled or deviated ones are excluded
-        from the ``recursive_functions`` stat too).
+        Names are matched project-wide.  Folded, the graph is rebuilt
+        only when :meth:`~repro.checkers.base.ProjectDelta.
+        calls_changed`; otherwise the previous triples stand, with the
+        line re-read from a changed file (its function names are
+        unchanged, so the first definition is the same function).
         """
+        if fold is not None and not fold.calls_changed():
+            changed = {unit.filename: unit for unit, _ in fold.added}
+            return tuple(
+                (name, filename, _first_line(changed[filename], name)
+                 if filename in changed else line)
+                for name, filename, line in fold.previous.partials.extra)
         graph: Dict[str, Set[str]] = {}
         locations: Dict[str, Tuple[str, int]] = {}
         defined: Set[str] = set()
@@ -336,10 +358,17 @@ class UnitDesignChecker(Checker):
                 edges = graph.setdefault(function.name, set())
                 edges.update(call for call in function.calls
                              if call in defined)
-        recursive = _functions_on_cycles(graph)
+        return tuple((name,) + locations.get(name, ("<unknown>", 0))
+                     for name in sorted(_functions_on_cycles(graph)))
+
+    @staticmethod
+    def _report_recursion(recursion: Tuple[Tuple[str, str, int], ...],
+                          report: CheckerReport) -> int:
+        """Emit one UD10 finding per recursive function; returns the
+        count that actually landed (disabled or deviated ones are
+        excluded from the ``recursive_functions`` stat too)."""
         reported = 0
-        for name in sorted(recursive):
-            filename, line = locations.get(name, ("<unknown>", 0))
+        for name, filename, line in recursion:
             if report.emit(Finding(
                     rule="UD10.recursion",
                     message=f"{name!r} participates in a call-graph cycle",
@@ -350,6 +379,12 @@ class UnitDesignChecker(Checker):
             )):
                 reported += 1
         return reported
+
+
+def _first_line(unit: UnitSummary, name: str) -> int:
+    """Start line of the first function named ``name`` in ``unit``."""
+    return next(function.start_line for function in unit.functions
+                if function.name == name)
 
 
 def _functions_on_cycles(graph: Dict[str, Set[str]]) -> Set[str]:

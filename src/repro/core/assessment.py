@@ -50,6 +50,11 @@ class AssessmentResult:
     #: True when stages 2–6 were shared from a previous result rather
     #: than recomputed.
     project_reused: bool = field(default=False, compare=False)
+    #: Private to the pipeline and the serve layer: the per-file inputs
+    #: stages 2–6 consumed (a :class:`~repro.core.pipeline.
+    #: ProjectParts`), which a later run folds from; set exactly when
+    #: :attr:`signature` is.
+    parts: Optional[Any] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
 

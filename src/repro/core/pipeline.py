@@ -32,12 +32,23 @@ sweep.
 
 Stages 2–6 (metrics, the checkers' project-level finish, evidence,
 compliance, observations) read nothing but the per-file outputs, the
-checkers and a few config values.  Every result carries a
-:class:`ProjectSignature` of exactly those inputs, and
-:meth:`AssessmentPipeline.run` handed a ``previous`` result with the
-same signature shares that result's project-level parts instead of
-recomputing them (``repro-serve`` does this for a repeat ``assess``).
-Shared parts are never mutated, by the pipeline or by any reader.
+checkers and a few config values.  Every cache-backed result carries a
+:class:`ProjectSignature` of exactly those inputs and a private
+:class:`ProjectParts` record of the per-file summaries and bundles the
+stages consumed.  Each project part is a fold over files:
+:meth:`AssessmentPipeline.run` handed a ``previous`` result whose
+signature matches in everything but the files rebuilds each part from
+the files whose :data:`FileKey` changed and takes the rest from
+``previous`` — a module's metrics are re-measured only when one of its
+files changed, a per-unit checker's report subtracts the changed files'
+old per-unit reports and adds their new ones, unit design and
+architecture recompute only the partials those files touch, and the
+evidence reads the folded rule counts.  A cold run is the same fold
+starting from nothing, and an unchanged tree is the empty fold: every
+part, down to the tables and observations, is shared (``repro-serve``
+does this for a repeat ``assess``).  Either way the result equals a
+cold one.  Shared parts are never mutated, by the pipeline or by any
+reader.
 """
 
 from __future__ import annotations
@@ -45,14 +56,15 @@ from __future__ import annotations
 import gc
 import os
 import shutil
-from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
+                    Optional, Tuple)
 
 from ..checkers.architecture import ArchitectureChecker, ArchitectureConfig
 from ..checkers.base import (
     Checker,
     CheckerCrash,
     CheckerReport,
+    ProjectChange,
     finish_checkers,
     split_checkers,
 )
@@ -156,6 +168,35 @@ class ProjectSignature(NamedTuple):
     skip_unparseable: bool
 
 
+class ProjectParts(NamedTuple):
+    """What the next run's fold reads off a cache-backed result.
+
+    Private to the pipeline and the serve layer.  The summaries and
+    bundles are the ones the project stages consumed — live in the
+    cache anyway — keyed by path in path order; the checkers' own
+    partials ride on their reports (:attr:`~repro.checkers.base.
+    CheckerReport.partials`).  ``reused`` and ``recomputed`` count this
+    run's project parts (module metrics, checker reports, and the
+    evidence/compliance/observations stage) by how they were obtained.
+    """
+
+    files: Dict[str, FileKey]
+    units: Dict[str, UnitSummary]
+    bundles: Dict[str, Bundle]
+    module_of: Dict[str, str]
+    reused: int
+    recomputed: int
+
+
+class _FoldBase(NamedTuple):
+    """A previous result the project stages fold from, and the paths
+    changed, added or removed since."""
+
+    previous: AssessmentResult
+    changed: FrozenSet[str]
+    change: ProjectChange
+
+
 class _ProjectStages(NamedTuple):
     """The parts of a result stages 2–6 produce."""
 
@@ -180,6 +221,10 @@ class AssessmentPipeline:
     no-op NULL_TRACER.  A run that shares a previous result's stages
     2–6 still opens each of their spans (marked ``reused``) and fires
     the per-checker finding counters, plus ``pipeline.project_reused``.
+    A run folded from a previous result counts
+    ``pipeline.files_refolded`` and ``pipeline.modules_remeasured``, and
+    every run counts its project parts under ``pipeline.parts_reused``
+    and ``pipeline.parts_recomputed``.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None) -> None:
@@ -211,11 +256,14 @@ class AssessmentPipeline:
 
         With ``previous`` — an earlier result of a cache-backed run —
         the per-file stage runs as always (every cache lookup counted),
-        but when this run's :class:`ProjectSignature` equals
-        ``previous``'s, ``previous`` was not degraded and nothing
-        crashed this time, stages 2–6 are not recomputed: the returned
-        result shares ``previous``'s modules, reports, evidence, tables
-        and observations.  The baseline comparison always runs.
+        and when this run's :class:`ProjectSignature` equals
+        ``previous``'s in everything but the files and ``previous`` was
+        not degraded, stages 2–6 are folded from ``previous``: each part
+        is rebuilt only from the files whose :data:`FileKey` changed.
+        With no file changed and nothing crashed this time, the
+        returned result shares ``previous``'s modules, reports,
+        evidence, tables and observations.  The baseline comparison
+        always runs.
 
         Unless :attr:`PipelineConfig.strict` is set, internal faults
         (a checker or the parser raising outside the
@@ -262,14 +310,14 @@ class AssessmentPipeline:
             units, bundles, unparseable, files = self._parse_all(
                 sources, per_unit, crashes)
             signature = self._signature(checkers, files)
-            reused = (previous is not None and signature is not None
-                      and signature == previous.signature
-                      and not previous.degraded)
-            if reused:
-                project = self._replay_project(previous)
-            else:
-                project = self._project_stages(
-                    sources, checkers, units, bundles, crashes)
+            units_by_path = {unit.filename: unit for unit in units}
+            keys = ({key[0]: key for key in signature.files}
+                    if signature is not None else None)
+            base = self._fold_base(signature, keys, previous,
+                                   units_by_path, bundles)
+            project, module_of, (reused, recomputed) = \
+                self._project_stages(sources, checkers, units, bundles,
+                                     crashes, base)
             root.set("units", len(units))
             root.set("jobs", self.jobs)
         reports = project.reports
@@ -279,6 +327,11 @@ class AssessmentPipeline:
                  degraded=bool(crashes))
         baseline = (self.config.baseline.compare(reports)
                     if self.config.baseline is not None else None)
+        parts = None
+        if signature is not None:
+            parts = ProjectParts(
+                files=keys, units=units_by_path, bundles=bundles,
+                module_of=module_of, reused=reused, recomputed=recomputed)
         return AssessmentResult(
             **project._asdict(),
             unit_count=len(units),
@@ -287,67 +340,106 @@ class AssessmentPipeline:
             baseline=baseline,
             crashes=crashes,
             signature=signature,
-            project_reused=reused,
+            project_reused=base is not None and base.change.empty,
+            parts=parts,
         )
+
+    def _fold_base(self, signature: Optional[ProjectSignature],
+                   keys: Optional[Dict[str, FileKey]],
+                   previous: Optional[AssessmentResult],
+                   units: Dict[str, UnitSummary],
+                   bundles: Dict[str, Bundle]) -> Optional[_FoldBase]:
+        """What stages 2–6 fold from: ``previous`` and the files changed
+        since, or ``None`` to start from nothing (no usable previous
+        result, or one read under different checkers or config)."""
+        if (previous is None or signature is None
+                or previous.parts is None or previous.degraded
+                or signature[1:] != previous.signature[1:]):
+            return None
+        old = previous.parts
+        before = old.files
+        changed = frozenset(
+            [path for path, key in keys.items() if before.get(path) != key]
+            + [path for path in before if path not in keys])
+        ordered = sorted(changed)
+        change = ProjectChange(
+            previous.reports,
+            [(old.units[path], old.bundles[path]) for path in ordered
+             if path in old.units],
+            [(units[path], bundles[path]) for path in ordered
+             if path in units])
+        self.tracer.metrics.counter("pipeline.files_refolded").inc(
+            len(changed))
+        return _FoldBase(previous, changed, change)
 
     def _project_stages(self, sources: Mapping[str, str],
                         checkers: List[Checker],
                         units: List[UnitSummary],
                         bundles: Dict[str, Bundle],
-                        crashes: List[CheckerCrash]) -> _ProjectStages:
-        """Stages 2–6, computed from this run's per-file outputs."""
-        tracer = self.tracer
-        modules = self._measure_modules(sources, units)
-        with tracer.span("checkers"):
-            reports = finish_checkers(
-                checkers, units,
-                [bundles[unit.filename] for unit in units],
-                tracer=tracer, log=self.log, strict=self.config.strict)
-        for name in reports:
-            crashes.extend(reports[name].crashes)
-        if crashes:
-            tracer.metrics.counter("pipeline.crashes").inc(len(crashes))
-            self.log.warning("run.degraded", crashes=len(crashes))
-        with tracer.span("evidence"):
-            evidence = self._assemble_evidence(modules, reports)
-        with tracer.span("compliance"):
-            engine = ComplianceEngine(
-                target_asil=self.config.target_asil,
-                thresholds=self.config.thresholds)
-            tables = engine.assess_all(evidence)
-        with tracer.span("observations") as span:
-            observations = generate_observations(evidence)
-            span.set("observations", len(observations))
-        return _ProjectStages(modules, reports, evidence, tables,
-                              observations)
+                        crashes: List[CheckerCrash],
+                        base: Optional[_FoldBase]
+                        ) -> Tuple[_ProjectStages, Dict[str, str],
+                                   Tuple[int, int]]:
+        """Stages 2–6 folded from ``base`` (from nothing when ``None``):
+        ``(stages, module of each unit's path, (parts reused, parts
+        recomputed))``.
 
-    def _replay_project(self, previous: AssessmentResult
-                        ) -> _ProjectStages:
-        """Stages 2–6 shared from ``previous``, computing nothing.
-
-        The stage spans open as in :meth:`_project_stages` (each marked
-        ``reused``, so run records keep their shape) and every
-        checker's ``checker.findings`` counter fires.
+        Every part whose inputs are unchanged is ``previous``'s own
+        object; its stage span is marked ``reused``.
         """
         tracer = self.tracer
         metrics = tracer.metrics
-        metrics.counter("pipeline.project_reused").inc()
-        with tracer.span("metrics", reused=1) as span:
-            span.set("modules", len(previous.modules))
-        with tracer.span("checkers", reused=1):
-            for name, report in previous.reports.items():
-                with tracer.span("checker", name=name) as span:
-                    span.set("findings", report.finding_count)
-                metrics.counter("checker.findings", checker=name).inc(
-                    report.finding_count)
-        for stage in ("evidence", "compliance"):
-            with tracer.span(stage, reused=1):
-                pass
-        with tracer.span("observations", reused=1) as span:
-            span.set("observations", len(previous.observations))
-        return _ProjectStages(previous.modules, previous.reports,
-                              previous.evidence, previous.tables,
-                              previous.observations)
+        previous = base.previous if base is not None else None
+        modules, module_of, remeasured = self._measure_modules(
+            sources, units, base)
+        with tracer.span("checkers") as span:
+            reports = finish_checkers(
+                checkers, units,
+                [bundles[unit.filename] for unit in units],
+                tracer=tracer, log=self.log, strict=self.config.strict,
+                change=base.change if base is not None else None)
+            shared = sum(1 for name, report in reports.items()
+                         if previous is not None
+                         and report is previous.reports.get(name))
+            if previous is not None \
+                    and shared == len(reports) == len(previous.reports):
+                reports = previous.reports
+                span.set("reused", 1)
+        for name in reports:
+            crashes.extend(reports[name].crashes)
+        if crashes:
+            metrics.counter("pipeline.crashes").inc(len(crashes))
+            self.log.warning("run.degraded", crashes=len(crashes))
+        if (previous is not None and modules is previous.modules
+                and reports is previous.reports):
+            metrics.counter("pipeline.project_reused").inc()
+            for stage in ("evidence", "compliance"):
+                with tracer.span(stage, reused=1):
+                    pass
+            with tracer.span("observations", reused=1) as span:
+                span.set("observations", len(previous.observations))
+            evidence, tables, observations = (
+                previous.evidence, previous.tables, previous.observations)
+            verdicts_reused = 1
+        else:
+            with tracer.span("evidence"):
+                evidence = self._assemble_evidence(modules, reports)
+            with tracer.span("compliance"):
+                engine = ComplianceEngine(
+                    target_asil=self.config.target_asil,
+                    thresholds=self.config.thresholds)
+                tables = engine.assess_all(evidence)
+            with tracer.span("observations") as span:
+                observations = generate_observations(evidence)
+                span.set("observations", len(observations))
+            verdicts_reused = 0
+        reused = len(modules) - remeasured + shared + verdicts_reused
+        recomputed = len(modules) + len(reports) + 1 - reused
+        metrics.counter("pipeline.parts_reused").inc(reused)
+        metrics.counter("pipeline.parts_recomputed").inc(recomputed)
+        return (_ProjectStages(modules, reports, evidence, tables,
+                               observations), module_of,
+                (reused, recomputed))
 
     def _signature(self, checkers: List[Checker],
                    files: Optional[Tuple[FileKey, ...]]
@@ -406,8 +498,9 @@ class AssessmentPipeline:
                 bundle_tag = "|".join(checker.fingerprint()
                                       for checker in per_unit)
                 reparsed = metrics.counter("pipeline.units_reparsed")
+                cache.prune_key_memo(sources)
                 for path in paths:
-                    key = cache.key_for(PARSE_TAG, path, sources[path])
+                    key = cache.cached_key(PARSE_TAG, path, sources[path])
                     all_parse_keys.append(key)
                     outcome = self._lookup("parse", key)
                     if outcome is CACHE_MISS:
@@ -418,7 +511,7 @@ class AssessmentPipeline:
                     outcome = outcomes.get(path)
                     if outcome is not None and outcome.summary is None:
                         continue  # a cached parse failure
-                    check_keys[path] = cache.key_for(
+                    check_keys[path] = cache.cached_key(
                         CHECK_TAG, path, sources[path], bundle_tag)
                     if outcome is not None:
                         bundle = self._lookup("check", check_keys[path])
@@ -586,20 +679,56 @@ class AssessmentPipeline:
     # stage 2: metrics
 
     def _measure_modules(self, sources: Mapping[str, str],
-                         units: List[UnitSummary]
-                         ) -> List[ModuleMetrics]:
+                         units: List[UnitSummary],
+                         base: Optional[_FoldBase]
+                         ) -> Tuple[List[ModuleMetrics], Dict[str, str],
+                                    int]:
+        """Module metrics, each module's re-measured only when one of its
+        files changed since ``base``: ``(modules in name order, module of
+        each unit's path, modules measured)``."""
+        module_of = self.config.module_of
+        known: Dict[str, str] = {}
+        previous: Dict[str, ModuleMetrics] = {}
+        dirty = set()
+        if base is not None:
+            known = base.previous.parts.module_of
+            previous = {module.name: module
+                        for module in base.previous.modules}
+            dirty.update(known[path] for path in base.changed
+                         if path in known)
         by_module: Dict[str, List[UnitSummary]] = {}
+        modules_of: Dict[str, str] = {}
         for unit in units:
-            module = self.config.module_of(unit.filename)
+            path = unit.filename
+            module = known.get(path)
+            if module is None:
+                module = module_of(path)
+            modules_of[path] = module
             by_module.setdefault(module, []).append(unit)
+        if base is not None:
+            dirty.update(modules_of[path] for path in base.changed
+                         if path in modules_of)
+        measured = 0
         with self.tracer.span("metrics") as span:
-            modules = [measure_module(name, sources, members,
-                                      tracer=self.tracer)
-                       for name, members in sorted(by_module.items())]
+            modules: List[ModuleMetrics] = []
+            for name, members in sorted(by_module.items()):
+                metrics = (previous.get(name) if name not in dirty
+                           else None)
+                if metrics is None:
+                    metrics = measure_module(name, sources, members,
+                                             tracer=self.tracer)
+                    measured += 1
+                modules.append(metrics)
+            if base is not None and not measured \
+                    and len(modules) == len(previous):
+                modules = base.previous.modules
+                span.set("reused", 1)
             span.set("modules", len(modules))
-        self.tracer.metrics.counter("pipeline.modules_measured").inc(
-            len(modules))
-        return modules
+        counters = self.tracer.metrics
+        counters.counter("pipeline.modules_measured").inc(measured)
+        if base is not None:
+            counters.counter("pipeline.modules_remeasured").inc(measured)
+        return modules, modules_of, measured
 
     # ------------------------------------------------------------------
     # stage 3: checkers
@@ -655,9 +784,12 @@ class AssessmentPipeline:
         )
         for key, checker in checker_backed:
             report = reports[checker]
+            partials = report.partials
             evidence.put(key, report.stats,
                          source=f"checker:{checker}",
-                         rule_counts=report.count_by_rule())
+                         rule_counts=(partials.rule_counts
+                                      if partials is not None
+                                      else report.count_by_rule()))
         return evidence
 
 

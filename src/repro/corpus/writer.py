@@ -56,6 +56,12 @@ def iter_tree_files(root: str, extensions=SOURCE_EXTENSIONS
     with the lower-case spellings, and a case-sensitive walk silently
     drops them from the corpus.
 
+    ``relative`` equals ``os.path.relpath(full, root)`` with ``/``
+    separators, but is cut from each walked directory once: every
+    directory :func:`os.walk` yields starts with ``root`` exactly as
+    given, so slicing that prefix off costs no per-file path
+    normalization (the watch loop walks the whole tree every poll).
+
     Raises:
         CorpusError: when ``root`` does not exist or is not a directory
             (``os.walk`` would silently yield nothing).
@@ -66,12 +72,12 @@ def iter_tree_files(root: str, extensions=SOURCE_EXTENSIONS
         raise CorpusError(f"source tree {root!r} is not a directory")
     suffixes = tuple(extension.lower() for extension in extensions)
     for directory, _, filenames in os.walk(root):
+        inner = directory[len(root):].lstrip(os.sep)
+        prefix = inner.replace(os.sep, "/") + "/" if inner else ""
         for filename in filenames:
             if not filename.lower().endswith(suffixes):
                 continue
-            full = os.path.join(directory, filename)
-            relative = os.path.relpath(full, root).replace(os.sep, "/")
-            yield relative, full
+            yield prefix + filename, os.path.join(directory, filename)
 
 
 def read_tree(root: str, extensions=SOURCE_EXTENSIONS,

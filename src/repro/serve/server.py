@@ -4,13 +4,18 @@ One :class:`AssessmentServer` process loads the rules profile and the
 result store once, then answers ``assess`` / ``diff`` / ``rules`` /
 ``stats`` requests indefinitely, keeping the parse/check object cache
 hot in memory (:class:`~repro.core.cache.MemoryCache` by default, the
-store's shared object area under ``--store``).  A repeat ``assess`` of
-an unchanged tree therefore recomputes nothing: every per-file stage
-short-circuits to a content-addressed cache hit, the project-level
-stages (metrics, checker finish, evidence, compliance, observations)
-are shared from the root's previous result when their inputs are
-unchanged (see :meth:`~repro.core.pipeline.AssessmentPipeline.run`),
-and the reply is byte-identical to the first.
+store's shared object area under ``--store``).  A request costs what
+changed, not the tree: every per-file stage of an unchanged file
+short-circuits to a content-addressed cache hit (its key memoized on
+the cache), and the project-level stages (metrics, checker finish,
+evidence, compliance, observations) are folded from the root's previous
+result part by part, rebuilt only from the files that changed (see
+:meth:`~repro.core.pipeline.AssessmentPipeline.run`).  The reply's
+``findings`` body is assembled the same way: each checker bundle's
+sorted ``located()`` strings are kept per bundle, so an edit formats
+only the changed files' and the project-level findings before one
+run-aware sort.  A repeat ``assess`` of an unchanged tree recomputes
+nothing and replies byte-identically to the first.
 
 Each request runs inside the fault-containment boundary the pipeline
 already provides: a crashing checker or a corrupt cache entry degrades
@@ -43,11 +48,11 @@ from ..core.diff import (
 )
 from ..core.pipeline import AssessmentPipeline
 from ..errors import ReproError, ServeError
-from ..obs import NULL_LOG, EventLog, Tracer
+from ..obs import NULL_LOG, EventLog, Histogram, Tracer
 from ..rules import REGISTRY, RuleProfile
 from ..store import ObjectStore, Store, build_run_record, new_run_id
-from .protocol import PROTOCOL_VERSION, encode_reply, error_reply, \
-    parse_request
+from .protocol import PROTOCOL_VERSION, VERBS, encode_reply, \
+    error_reply, parse_request
 from .stream import finding_diff
 from .watcher import TreeWatcher, WatchDelta
 
@@ -133,14 +138,23 @@ class AssessmentServer:
         #: The latest reply's ``findings`` body per root, shared by the
         #: next reply when its result shares the reports.
         self.findings: Dict[str, Dict[str, List[str]]] = {}
-        #: Memory-cache keys each root's latest assessment touched; the
-        #: union is what :meth:`MemoryCache.retain` keeps.
+        #: Each live checker bundle's sorted ``located()`` strings per
+        #: checker, by the bundle's cache key.
+        self.located: Dict[str, Dict[str, List[str]]] = {}
+        #: Cache keys each root's latest assessment touched; the union
+        #: is what :meth:`MemoryCache.retain` and :attr:`located` keep.
         self.live_keys: Dict[str, Set[str]] = {}
         self.closing = False
         self.started = time.monotonic()
         self.requests = 0
         self.assessments = 0
         self.project_reuses = 0
+        #: Project parts (module metrics, checker reports, the verdict
+        #: stage) assessments took from a previous result vs computed.
+        self.parts_reused = 0
+        self.parts_recomputed = 0
+        #: Request latency in seconds, per verb.
+        self.latency: Dict[str, Histogram] = {}
         self.errors = 0
         self.degraded_replies = 0
         self._lock = threading.RLock()
@@ -171,6 +185,7 @@ class AssessmentServer:
         verb = request.get("verb")
         with self._lock:
             self.requests += 1
+            started = time.perf_counter()
             try:
                 handler = getattr(self, f"_verb_{verb}")
                 reply = handler(request)
@@ -189,6 +204,12 @@ class AssessmentServer:
                     f"internal fault serving {verb!r}: "
                     f"{type(error).__name__}: {error}",
                     degraded=True)
+            finally:
+                if verb in VERBS:
+                    histogram = self.latency.get(verb)
+                    if histogram is None:
+                        histogram = self.latency[verb] = Histogram(verb)
+                    histogram.observe(time.perf_counter() - started)
             reply["id"] = request_id
             reply.setdefault("ok", True)
             if reply.get("degraded"):
@@ -282,12 +303,21 @@ class AssessmentServer:
             "polls": watcher.polls,
             "skipped_unreadable": watcher.skipped_total,
         } for root, watcher in sorted(self.watchers.items())}
+        latency = {verb: {
+            "count": histogram.count,
+            "p50_ms": round(histogram.quantile(0.5) * 1e3, 3),
+            "p90_ms": round(histogram.quantile(0.9) * 1e3, 3),
+            "max_ms": round(histogram.maximum * 1e3, 3),
+        } for verb, histogram in sorted(self.latency.items())}
         return {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": round(time.monotonic() - self.started, 3),
             "requests": self.requests,
             "assessments": self.assessments,
             "project_reuses": self.project_reuses,
+            "project_parts": {"reused": self.parts_reused,
+                              "recomputed": self.parts_recomputed},
+            "latency": latency,
             "errors": self.errors,
             "degraded_replies": self.degraded_replies,
             "skipped_unreadable": sum(
@@ -322,20 +352,19 @@ class AssessmentServer:
             result = AssessmentPipeline(self._config(tracer)).run(
                 sources, previous=previous)
             duration = time.perf_counter() - start
-            if isinstance(self.cache, MemoryCache):
-                self._retain_live(root)
             self.assessments += 1
             self.previous[root] = previous
             self.results[root] = result
+            if result.parts is not None:
+                self.parts_reused += result.parts.reused
+                self.parts_recomputed += result.parts.recomputed
             if result.project_reused:
                 self.project_reuses += 1
                 findings = self.findings[root]
             else:
-                findings = {
-                    name: sorted(finding.located()
-                                 for finding in report.findings)
-                    for name, report in sorted(result.reports.items())}
+                findings = self._findings_body(result)
                 self.findings[root] = findings
+            self._retain_live(root)
             run_id = self._record_run(result, root, duration, tracer,
                                       delta, files=len(sources))
             reply: Dict[str, Any] = {
@@ -359,13 +388,63 @@ class AssessmentServer:
                 reply["run"] = run_id
             return reply
 
+    def _findings_body(self, result) -> Dict[str, List[str]]:
+        """The reply's ``findings``: each checker's sorted ``located()``
+        strings.
+
+        A folded report (one with :attr:`~repro.checkers.base.
+        CheckerReport.partials`) starts with its per-unit reports'
+        findings in unit order, so its strings are the kept per-bundle
+        lists (see :meth:`_bundle_located`) plus the project-level
+        findings' fresh ones, put in order by one sort that runs
+        through the already-sorted stretches.
+        """
+        parts = result.parts
+        per_unit = None
+        if parts is not None:
+            per_unit = [self._bundle_located(parts.files[path][2],
+                                             parts.bundles[path])
+                        for path in parts.units]
+        findings: Dict[str, List[str]] = {}
+        for name, report in sorted(result.reports.items()):
+            partials = report.partials
+            if per_unit is None or partials is None:
+                findings[name] = sorted(finding.located()
+                                        for finding in report.findings)
+                continue
+            located: List[str] = []
+            if partials.unit_findings:
+                for strings in per_unit:
+                    located.extend(strings[name])
+            located.extend(finding.located() for finding
+                           in report.findings[partials.unit_findings:])
+            located.sort()
+            findings[name] = located
+        return findings
+
+    def _bundle_located(self, key: str, bundle) -> Dict[str, List[str]]:
+        """One checker bundle's sorted ``located()`` strings per checker,
+        formatted once per bundle key while the key stays live."""
+        located = self.located.get(key)
+        if located is None:
+            located = {name: sorted(finding.located()
+                                    for finding in report.findings)
+                       for name, report in bundle.items()}
+            self.located[key] = located
+        return located
+
     def _retain_live(self, root: str) -> None:
-        """Drop the memory-cache entries no root's latest assessment
-        touched (an edited file's superseded parse and checker entries),
-        so the daemon's memory follows its trees, not their edit
-        history."""
+        """Drop the memory-cache entries and kept ``located()`` strings
+        no root's latest assessment touched (an edited file's
+        superseded parse and checker entries), so the daemon's memory
+        follows its trees, not their edit history."""
         self.live_keys[root] = set(self.cache.referenced)
-        self.cache.retain(set().union(*self.live_keys.values()))
+        live = set().union(*self.live_keys.values())
+        if isinstance(self.cache, MemoryCache):
+            self.cache.retain(live)
+        located = self.located
+        for key in [key for key in located if key not in live]:
+            del located[key]
 
     def _verb_assess(self, request: Dict[str, Any]) -> Dict[str, Any]:
         return self.assess(self._root_for(request),

@@ -33,6 +33,7 @@ from .history import (
     FAULT_COUNTERS,
     LEDGER_FILENAME,
     LEDGER_SCHEMA,
+    PART_COUNTERS,
     STAGE_NAMES,
     RunHistory,
     RunRecord,
@@ -59,6 +60,7 @@ __all__ = [
     "MergeStats",
     "OBJECTS_DIRNAME",
     "ObjectStore",
+    "PART_COUNTERS",
     "RunHistory",
     "RunRecord",
     "SCHEMA_TAG",

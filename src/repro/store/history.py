@@ -52,6 +52,7 @@ __all__ = [
     "FAULT_COUNTERS",
     "LEDGER_FILENAME",
     "LEDGER_SCHEMA",
+    "PART_COUNTERS",
     "RunHistory",
     "RunRecord",
     "STAGE_NAMES",
@@ -73,6 +74,12 @@ STAGE_NAMES = ("parse", "metrics", "checkers", "evidence", "compliance",
 #: Parallel-engine fault counters folded into every record.
 FAULT_COUNTERS = ("task_timeouts", "worker_deaths", "task_errors",
                   "task_retries", "serial_fallbacks")
+
+#: Project-part counters folded into every traced record: which parts
+#: of stages 2–6 a run folded from its previous result and which it
+#: recomputed (see :meth:`~repro.core.pipeline.AssessmentPipeline.run`).
+PART_COUNTERS = ("files_refolded", "modules_remeasured", "parts_reused",
+                 "parts_recomputed")
 
 
 def new_run_id() -> str:
@@ -103,6 +110,8 @@ class RunRecord:
             when the run was not traced).
         total_seconds: end-to-end assessment wall time.
         faults: parallel fault counters (``FAULT_COUNTERS``).
+        parts: project-part counters (``PART_COUNTERS``; empty when the
+            run was not traced).
         cache: result-store accounting — ``hits``, ``misses``,
             ``puts``, ``corrupt_entries`` (empty when no cache).
         findings_by_rule: finding count per rule id.
@@ -129,6 +138,7 @@ class RunRecord:
     stages: Dict[str, float] = field(default_factory=dict)
     total_seconds: float = 0.0
     faults: Dict[str, int] = field(default_factory=dict)
+    parts: Dict[str, int] = field(default_factory=dict)
     cache: Dict[str, int] = field(default_factory=dict)
     findings_by_rule: Dict[str, int] = field(default_factory=dict)
     findings_by_severity: Dict[str, int] = field(default_factory=dict)
@@ -367,6 +377,7 @@ def build_run_record(result, *, run_id: str, duration: float,
 
     stages: Dict[str, float] = {}
     faults: Dict[str, int] = {}
+    parts: Dict[str, int] = {}
     hotspot_table: Dict[str, List] = {}
     if tracer is not None and tracer.enabled:
         for name in STAGE_NAMES:
@@ -377,6 +388,9 @@ def build_run_record(result, *, run_id: str, duration: float,
         for name in FAULT_COUNTERS:
             faults[name] = _counter_total(tracer.metrics,
                                           f"parallel.{name}")
+        for name in PART_COUNTERS:
+            parts[name] = _counter_total(tracer.metrics,
+                                         f"pipeline.{name}")
         from ..obs.profile import hotspots
         hotspot_table = hotspots(tracer, limit=hotspot_limit)
 
@@ -408,6 +422,7 @@ def build_run_record(result, *, run_id: str, duration: float,
         stages=stages,
         total_seconds=round(duration, 6),
         faults=faults,
+        parts=parts,
         cache=cache_stats,
         findings_by_rule=dict(sorted(findings_by_rule.items())),
         findings_by_severity=dict(sorted(findings_by_severity.items())),

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Container, Dict, Iterator, Optional, Tuple
 
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry
@@ -108,6 +108,9 @@ class ObjectStore:
         self.metrics: MetricsRegistry = _NULL_METRICS
         self.log: EventLog = NULL_LOG
         self._swept = False
+        #: ``(stage tag, path, fingerprint) -> (source, key)``; see
+        #: :meth:`cached_key`.
+        self._key_memo: Dict[Tuple[str, str, str], Tuple[str, str]] = {}
 
     def attach(self, metrics: MetricsRegistry = None,
                log: EventLog = None) -> "ObjectStore":
@@ -148,6 +151,31 @@ class ObjectStore:
             digest.update(part.encode("utf-8"))
             digest.update(b"\x1f")
         return digest.hexdigest()
+
+    def cached_key(self, stage_tag: str, path: str, source: str,
+                   fingerprint: str = "") -> str:
+        """:meth:`key_for`, memoized on this store instance.
+
+        The memo is keyed by ``(stage_tag, path, fingerprint)`` and
+        checked against the source text (a long-lived caller re-handing
+        the same string object compares by identity, at no cost); a
+        different source re-hashes and replaces the entry.  The key
+        always equals a fresh :meth:`key_for`.
+        """
+        slot = (stage_tag, path, fingerprint)
+        known = self._key_memo.get(slot)
+        if known is not None and known[0] == source:
+            return known[1]
+        key = self.key_for(stage_tag, path, source, fingerprint)
+        self._key_memo[slot] = (source, key)
+        return key
+
+    def prune_key_memo(self, paths: Container[str]) -> None:
+        """Drop the :meth:`cached_key` entries of paths not in ``paths``
+        (files gone from the tree), so the memo follows the tree."""
+        memo = self._key_memo
+        for slot in [slot for slot in memo if slot[1] not in paths]:
+            del memo[slot]
 
     def entry_path(self, key: str, root: Optional[str] = None) -> str:
         """Filesystem path of the entry for ``key`` (may not exist)."""

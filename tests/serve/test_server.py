@@ -234,6 +234,26 @@ class TestOtherVerbs:
         assert reply["cache"]["backend"] == "MemoryCache"
         assert reply["roots"][os.path.abspath(tree)]["files"] == 2
 
+    def test_stats_latency_and_project_parts(self, tree):
+        server = AssessmentServer(tree)
+        assess(server)
+        assess(server)
+        write(tree, "clean.cpp", GOTO + CLEAN)
+        assess(server)
+        server.handle_line('{"verb": "ping"}')
+        reply = server.handle_line('{"verb": "stats"}')
+        latency = reply["latency"]
+        assert set(latency) == {"assess", "ping"}
+        assert latency["assess"]["count"] == 3
+        for verb in latency.values():
+            assert 0 <= verb["p50_ms"] <= verb["p90_ms"] <= verb["max_ms"]
+        parts = reply["project_parts"]
+        # cold: everything computed; no-op: everything shared; edit:
+        # the edited module, every checker report and the verdicts
+        # recomputed
+        assert parts["recomputed"] > 0 and parts["reused"] > 0
+        assert reply["project_reuses"] == 1
+
 
 class TestMemoryCacheRetention:
     @staticmethod
@@ -354,6 +374,22 @@ class TestStoreBackedServing:
             record = list(store.history().records())[-1]
             assert len(keys) == 4
             assert set(record.objects) == keys
+
+    def test_run_records_show_which_parts_moved(self, tree, tmp_path):
+        store = Store(str(tmp_path / "store"))
+        server = AssessmentServer(tree, store=store)
+        assess(server)
+        assess(server)
+        write(tree, "clean.cpp", CLEAN + "int edit;\n")
+        assess(server)
+        cold, noop, edit = (record.parts
+                            for record in store.history().records())
+        assert cold["files_refolded"] == 0 and cold["parts_reused"] == 0
+        assert noop["files_refolded"] == 0
+        assert noop["parts_recomputed"] == 0
+        assert edit["files_refolded"] == 1
+        assert edit["modules_remeasured"] == 1
+        assert edit["parts_reused"] == 0  # one module: all parts moved
 
 
 class TestStdioLoop:

@@ -122,3 +122,35 @@ class TestEntries:
         for each, path in listed:
             with open(path, "rb") as handle:
                 pickle.load(handle)
+
+
+class TestKeyMemo:
+    def test_memo_hits_equal_fresh_hashes(self, tmp_path):
+        area = ObjectStore(str(tmp_path))
+        source = "int main() {}\n"
+        first = area.cached_key("parse:4", "a.cc", source)
+        assert first == ObjectStore.key_for("parse:4", "a.cc", source)
+        # an equal but distinct string object still hits the memo
+        copy = "".join(list(source))
+        assert copy is not source
+        assert area.cached_key("parse:4", "a.cc", copy) == first
+        assert area.cached_key("check:4", "a.cc", source, "fp") == \
+            ObjectStore.key_for("check:4", "a.cc", source, "fp")
+
+    def test_changed_source_rehashes(self, tmp_path):
+        area = ObjectStore(str(tmp_path))
+        area.cached_key("parse:4", "a.cc", "int x;")
+        assert area.cached_key("parse:4", "a.cc", "int y;") == \
+            ObjectStore.key_for("parse:4", "a.cc", "int y;")
+        assert area.cached_key("parse:4", "a.cc", "int x;") == \
+            ObjectStore.key_for("parse:4", "a.cc", "int x;")
+
+    def test_prune_drops_paths_no_longer_present(self, tmp_path):
+        area = ObjectStore(str(tmp_path))
+        for path in ("a.cc", "b.cc"):
+            area.cached_key("parse:4", path, "int x;")
+            area.cached_key("check:4", path, "int x;", "fp")
+        area.prune_key_memo({"b.cc"})
+        assert {slot[1] for slot in area._key_memo} == {"b.cc"}
+        assert area.cached_key("parse:4", "a.cc", "int x;") == \
+            ObjectStore.key_for("parse:4", "a.cc", "int x;")
