@@ -1,20 +1,21 @@
 """Benchmark: the fused single-sweep engine vs the pre-engine baseline.
 
-Measures the assessment wall time serially, at jobs=2/4 (thread pool),
-and with a warm content-addressed cache; asserts the engine's three
-contracts — every configuration is result-identical to the serial run,
-a warm-cache re-assessment beats the cold serial sweep, and the cold
-serial sweep beats the recorded pre-engine baseline for the same corpus
-scale by at least ``REPRO_BENCH_MIN_SPEEDUP`` — and appends a data
-point to ``BENCH_parallel.json`` at the repo root.
+Measures the assessment wall time serially, at jobs=2/4 (worker
+processes), and with a warm content-addressed cache; asserts the
+engine's three contracts — every configuration is result-identical to
+the serial run, a warm-cache re-assessment beats the cold serial
+sweep, and the cold serial sweep beats the recorded pre-engine
+baseline for the same corpus scale by at least
+``REPRO_BENCH_MIN_SPEEDUP`` — and appends a data point to
+``BENCH_parallel.json`` at the repo root.
 
 The default corpus scale is 1.0 (the full synthetic Apollo corpus,
 ~1.4k files / ~230k LOC) so recorded points are comparable with
 ``baseline_pre_engine.json``; CI and quick local sweeps override with
-``REPRO_BENCH_SCALE=0.05``.  On a single-CPU box the thread-pool
-points hover around 1.0x (the parse stage is GIL-bound pure Python);
-the single-sweep engine and the cache carry the cold and incremental
-stories respectively.
+``REPRO_BENCH_SCALE=0.05``.  Each point records ``cpus`` and
+``usable_cpus`` (the affinity set the pool can actually use): the
+jobs=2/4 points can only beat serial with more than one usable CPU,
+and small corpora pay the pool start-up and IPC cost.
 """
 
 import json
@@ -22,7 +23,7 @@ import os
 import statistics
 import time
 
-from repro.core import AssessmentPipeline, PipelineConfig
+from repro.core import AssessmentPipeline, PipelineConfig, worker_count
 from repro.corpus import apollo_spec, generate_corpus
 from repro.store import ObjectStore
 
@@ -133,6 +134,8 @@ def _record_bench_point(file_count, serial_seconds, parallel_seconds,
         "corpus_scale": SCALE,
         "files": file_count,
         "cpus": os.cpu_count(),
+        "usable_cpus": worker_count(0),
+        "executor": "process",
         "serial_seconds": round(serial_seconds, 6),
         "jobs2_seconds": round(parallel_seconds[2], 6),
         "jobs4_seconds": round(parallel_seconds[4], 6),

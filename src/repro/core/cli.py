@@ -105,13 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the YOLO coverage experiment "
                              "as Cobertura XML")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="workers for the parse/checker fan-out "
-                             "(default 1 = serial, 0 = one per CPU); "
-                             "results are identical at any setting")
-    parser.add_argument("--executor", choices=("thread", "process"),
-                        default="thread",
-                        help="pool flavor for --jobs > 1 (default "
-                             "thread; process sidesteps the GIL)")
+                        help="worker processes for the parse/checker "
+                             "fan-out (default 1 = serial, 0 = one per "
+                             "CPU); results are identical at any "
+                             "setting")
     parser.add_argument("--store", metavar="DIR",
                         help="sharded content-addressed result store: "
                              "caches parse/checker results under "
@@ -323,8 +320,7 @@ def _assess(args, sources, profile, baseline, tracer, cache,
     try:
         pipeline = AssessmentPipeline(PipelineConfig(
             tracer=tracer, log=event_log, jobs=args.jobs,
-            executor=args.executor, cache=cache, shard=args.shard,
-            rules=profile,
+            cache=cache, shard=args.shard, rules=profile,
             baseline=baseline, strict=args.strict,
             task_timeout=args.task_timeout,
             report=ReportTargets(

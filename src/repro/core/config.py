@@ -7,6 +7,7 @@ from typing import Callable, Optional
 
 from ..checkers.architecture import ArchitectureConfig, module_from_path
 from ..checkers.style import StyleConfig
+from ..errors import ConfigError
 from ..iso26262.asil import Asil, TARGET_ASIL
 from ..iso26262.compliance import ComplianceThresholds
 from ..obs import EventLog, Tracer
@@ -39,13 +40,15 @@ class PipelineConfig:
             zero-cost :data:`~repro.obs.NULL_LOG`.  Worker chunks
             buffer their events and the pipeline grafts them back,
             exactly as worker traces are grafted.
-        jobs: worker count for the parse and per-unit checker fan-out;
-            1 (the default) is the fully serial path, 0 means one
-            worker per CPU this process may run on.  Results are
-            identical at any setting.
-        executor: pool flavor for ``jobs > 1`` — ``"thread"`` (no
-            pickling, GIL-bound) or ``"process"`` (true CPU
-            parallelism; payloads cross process boundaries).
+        jobs: worker-process count for the parse and per-unit
+            checker fan-out; 1 (the default) is the fully serial path,
+            0 means one worker per CPU this process may run on.
+            Results are identical at any setting.
+        executor: a leftover kept only for the benchmark harness,
+            which builds ``PipelineConfig(executor="process")``; its
+            one legal value is ``"process"`` (the default), and the
+            pipeline passes it to :func:`~repro.core.parallel.run_tasks`
+            as a fault-counter label.
         cache: optional content-addressed :class:`~repro.store.
             objects.ObjectStore`; unchanged files short-circuit to
             cached parse results and per-unit checker reports.  A
@@ -102,7 +105,7 @@ class PipelineConfig:
     tracer: Optional[Tracer] = None
     log: Optional[EventLog] = None
     jobs: int = 1
-    executor: str = "thread"
+    executor: str = "process"
     cache: Optional[ObjectStore] = None
     shard: Optional[str] = None
     rules: Optional[RuleProfile] = None
@@ -111,3 +114,9 @@ class PipelineConfig:
     task_timeout: Optional[float] = None
     extra_checkers: tuple = ()
     report: ReportTargets = field(default_factory=ReportTargets)
+
+    def __post_init__(self) -> None:
+        if self.executor != "process":
+            raise ConfigError(
+                f"executor must be 'process', got {self.executor!r}: "
+                f"jobs now means worker processes")

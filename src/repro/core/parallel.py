@@ -3,9 +3,10 @@
 The pipeline's per-file work — parse, summarize, and sweep the per-unit
 checkers — is embarrassingly parallel, so this module runs it as one
 task per file batch (:func:`run_parse_task`) over a
-``concurrent.futures`` pool, or inline when serial: the same task
-function either way.  The contract, relied on by the determinism
-tests, is that a parallel run is *result-identical* to the serial run:
+``concurrent.futures`` process pool (``jobs`` worker processes), or
+inline when serial: the same task function either way.  The contract,
+relied on by the determinism tests, is that a parallel run is
+*result-identical* to the serial run:
 
 * work is chunked from the already-sorted path list and results are
   reassembled in that order, so checker reports merge in exactly the
@@ -25,9 +26,8 @@ returns only the token-free :class:`ParseOutcome` (the file's compact
 result cache keeps) and the per-unit checker reports, so no unit ever
 crosses a process boundary or outlives its own sweep.
 
-Each task runs under its own :class:`~repro.obs.Tracer` (the shared
-tracer's span stack is not thread-safe); the resulting span forest and
-metrics are grafted back into the parent trace by
+Each task runs under its own :class:`~repro.obs.Tracer`; the resulting
+span forest and metrics are grafted back into the parent trace by
 :func:`graft_worker_trace`, so ``--trace`` shows one ``parse_worker``
 span per chunk with real per-file child spans.  Structured log events
 follow the same fan-in: tasks record into a picklable
@@ -35,15 +35,15 @@ follow the same fan-in: tasks record into a picklable
 parent replays it via :meth:`~repro.obs.EventLog.graft` with the
 worker index stamped on every event.
 
-Task functions are module-level so the ``process`` executor can pickle
-them; every payload (tasks, parse outcomes, checker reports, worker
+Task functions are module-level so the process pool can pickle them;
+every payload (tasks, parse outcomes, checker reports, worker
 tracers) is plain-dataclass picklable.
 
 The engine is additionally *fault-isolated* (see :func:`run_tasks` and
-:func:`~repro.engine.driver.fused_unit_bundle`): a dead or hung worker
-costs one serial re-run of its chunk, and a crashing checker costs one
-``internal.checker_crash`` finding on the unit it crashed on — never
-the run.
+:func:`~repro.engine.driver.fused_unit_bundle`): a dead, hung or
+raising worker costs one serial re-run of its chunk, and a crashing
+checker costs one ``internal.checker_crash`` finding on the unit it
+crashed on — never the run.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ from ..lang.cppmodel import TranslationUnit, parse_translation_unit
 from ..lang.summary import UnitSummary, summarize_unit
 from ..obs import NULL_LOG, NULL_TRACER, BufferLog, EventLog, Span, Tracer
 from ..store.objects import ObjectStore
-
-#: Recognized ``PipelineConfig.executor`` values.  ``thread`` has no
-#: per-task pickling cost; ``process`` sidesteps the GIL for CPU-bound
-#: parsing at the price of shipping sources and results across
-#: processes.
-EXECUTOR_KINDS = ("thread", "process")
 
 #: One file's per-unit checker reports, ``{checker name: report}``.
 Bundle = Dict[str, CheckerReport]
@@ -119,23 +113,26 @@ def _count(metrics, name: str, **labels) -> None:
 
 
 def run_tasks(function: Callable, tasks: Sequence, *, jobs: int,
-              executor: str, timeout: Optional[float] = None,
+              executor: str = "process", timeout: Optional[float] = None,
               metrics=None, log: EventLog = NULL_LOG) -> List:
-    """Run ``function`` over ``tasks`` on a pool; results in task order.
+    """Run ``function`` over ``tasks`` on a process pool; results in
+    task order.
 
     ``jobs <= 1`` (or a single task) short-circuits to a plain loop —
     the serial path allocates no pool at all.
 
-    The pooled path is fault-isolated: a task whose worker dies
-    (``BrokenProcessPool`` — today that takes down the entire run),
-    whose result cannot cross the process boundary (pickling errors),
-    or that exceeds the per-task ``timeout`` is re-executed *serially*
-    in the calling process — a bounded retry (one in-process re-run per
-    failed task) that turns every worker-level fault into at worst a
-    slow chunk instead of a lost run.  An exception from the serial
-    re-run is genuine and propagates.
+    The pooled path is fault-isolated by one rule: a task whose worker
+    dies (``BrokenProcessPool``), that raises — its own exception or a
+    transport fault such as an unpicklable payload or result — or that
+    exceeds the per-task ``timeout`` is counted, logged, and re-executed
+    *serially* in the calling process, once.  Every worker-level fault
+    costs at worst a slow chunk instead of a lost run; a genuine task
+    exception re-raises from the serial re-run.
 
     Args:
+        executor: only the label on the fault counters and events.  It
+            is kept for the benchmark harness, which keys its pool IPC
+            accounting on ``executor="process"``.
         timeout: per-task result deadline in seconds; ``None`` waits
             forever.  A timed-out worker task is abandoned (its pool
             cannot interrupt it) and its chunk recomputed serially.
@@ -148,15 +145,10 @@ def run_tasks(function: Callable, tasks: Sequence, *, jobs: int,
             ``parallel.worker_death``, ``parallel.task_error``, and
             ``parallel.serial_fallback`` events.
     """
-    if executor not in EXECUTOR_KINDS:
-        raise ConfigError(
-            f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}")
     if jobs <= 1 or len(tasks) <= 1:
         return [function(task) for task in tasks]
-    pool_class = (futures.ThreadPoolExecutor if executor == "thread"
-                  else futures.ProcessPoolExecutor)
     results: List = [_PENDING] * len(tasks)
-    pool = pool_class(max_workers=min(jobs, len(tasks)))
+    pool = futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
     try:
         pending = [pool.submit(function, task) for task in tasks]
         for index, future in enumerate(pending):
@@ -174,16 +166,6 @@ def run_tasks(function: Callable, tasks: Sequence, *, jobs: int,
                 log.error("parallel.worker_death", task=index,
                           executor=executor)
             except Exception:
-                # Thread pools have no IPC layer: an exception here IS
-                # the task's own, and re-running would repeat it (or,
-                # worse, silently succeed against already-consumed
-                # state) — propagate.  Process pools surface transport
-                # faults the same way (e.g. the worker's result failed
-                # to pickle), so there the serial re-run below — which
-                # never crosses a process boundary — is the recovery;
-                # a genuine task exception just re-raises from it.
-                if executor == "thread":
-                    raise
                 _count(metrics, "parallel.task_errors",
                        executor=executor)
                 log.error("parallel.task_error", task=index,

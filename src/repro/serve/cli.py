@@ -69,11 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable rules matching GLOB (repeatable; "
                              "applied after --enable)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="workers for each assessment's fan-out "
-                             "(default 1 = serial)")
-    parser.add_argument("--executor", choices=("thread", "process"),
-                        default="thread",
-                        help="pool flavor for --jobs > 1")
+                        help="worker processes for each assessment's "
+                             "fan-out (default 1 = serial)")
     parser.add_argument("--strict", action="store_true",
                         help="re-raise contained faults instead of "
                              "degrading the affected reply (debugging "
@@ -153,7 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              run_id=new_run_id())
     server = AssessmentServer(
         root, profile=profile, store=store, jobs=args.jobs,
-        executor=args.executor,
         strict=args.strict, task_timeout=args.task_timeout,
         log=event_log)
     try:

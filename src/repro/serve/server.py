@@ -115,7 +115,7 @@ class AssessmentServer:
     def __init__(self, root: Optional[str] = None, *,
                  profile: Optional[RuleProfile] = None,
                  store: Optional[Store] = None,
-                 jobs: int = 1, executor: str = "thread",
+                 jobs: int = 1,
                  strict: bool = False,
                  task_timeout: Optional[float] = None,
                  log: Optional[EventLog] = None,
@@ -126,7 +126,6 @@ class AssessmentServer:
         self.cache = (store.object_store() if store is not None
                       else MemoryCache())
         self.jobs = jobs
-        self.executor = executor
         self.strict = strict
         self.task_timeout = task_timeout
         self.extra_checkers = extra_checkers
@@ -245,8 +244,7 @@ class AssessmentServer:
     def _config(self, tracer: Optional[Tracer]) -> PipelineConfig:
         return PipelineConfig(
             tracer=tracer, log=self.log, jobs=self.jobs,
-            executor=self.executor, cache=self.cache,
-            rules=self.profile, strict=self.strict,
+            cache=self.cache, rules=self.profile, strict=self.strict,
             task_timeout=self.task_timeout,
             extra_checkers=self.extra_checkers)
 

@@ -103,7 +103,10 @@ class RunRecord:
             registry defaults (``""`` when no profile or no deviation).
         corpus: input statistics — ``files``, ``units``,
             ``unparseable``, ``loc``, ``functions``.
-        jobs / executor: the fan-out configuration the run used.
+        jobs: the ``jobs`` setting the run used.
+        executor: ``"serial"`` when the resolved job count was 1,
+            else ``"process"``; records written before the pool became
+            process-only may name the retired thread pool.
         shard: the corpus slice this run assessed (``"K/N"``; ``""``
             for a full run).
         stages: per-stage wall seconds (``STAGE_NAMES`` keys; empty
@@ -133,7 +136,7 @@ class RunRecord:
     rules_fingerprint: str = ""
     corpus: Dict[str, int] = field(default_factory=dict)
     jobs: int = 1
-    executor: str = "thread"
+    executor: str = "serial"
     shard: str = ""
     stages: Dict[str, float] = field(default_factory=dict)
     total_seconds: float = 0.0
@@ -318,8 +321,8 @@ def _config_fingerprint(config) -> str:
     ASIL target, thresholds, style/architecture limits, strictness,
     and the shard slice (a shard run assesses a different corpus, so
     its trends must never be compared against a full run's) — not what
-    changes only the execution shape (jobs, executor, cache), which
-    the record carries as plain fields instead.
+    changes only the execution shape (jobs, cache), which the record
+    carries as plain fields instead.
     """
     material = repr((config.target_asil, config.thresholds, config.style,
                      config.architecture, config.strict,
@@ -436,6 +439,8 @@ def build_run_record(result, *, run_id: str, duration: float,
         record.config_fingerprint = _config_fingerprint(config)
         record.rules_fingerprint = _rules_fingerprint(config)
         record.jobs = config.jobs
-        record.executor = config.executor
+        from ..core.parallel import worker_count
+        record.executor = ("serial" if worker_count(config.jobs) == 1
+                           else "process")
         record.shard = getattr(config, "shard", None) or ""
     return record

@@ -230,8 +230,7 @@ def _smoke() -> int:
 
     plan = FaultPlan([Fault("raise", site="check_unit", path=target)])
     result = assess_sources(sources, PipelineConfig(
-        jobs=2, executor="thread",
-        extra_checkers=(FaultyChecker(plan),)))
+        jobs=2, extra_checkers=(FaultyChecker(plan),)))
     assert result.degraded, "injected crash was not contained"
     assert any(crash.checker == "fault_injector"
                for crash in result.crashes), result.crashes
@@ -240,8 +239,7 @@ def _smoke() -> int:
     assert document["degradations"][0]["checker"] == "fault_injector"
 
     clean = assess_sources(sources, PipelineConfig(
-        jobs=2, executor="thread",
-        extra_checkers=(FaultyChecker(FaultPlan()),)))
+        jobs=2, extra_checkers=(FaultyChecker(FaultPlan()),)))
     assert not clean.degraded
     for name, report in clean.reports.items():
         if name == "fault_injector":

@@ -4,7 +4,7 @@ Every file the cache does not settle goes through one
 ``run_parse_task`` fan-out, which parses, summarizes and sweeps it and
 drops its full unit right after the sweep.  Pinned here: no token
 stream crosses the process boundary, there is one fan-out per cold run
-and none on a warm store, and every executor × cache temperature
+and none on a warm store, and every job count × cache temperature
 produces the same result digest and the same per-stage cache counts.
 """
 
@@ -29,10 +29,8 @@ from .test_unit_summaries import digest
 #: The one file the patched parser rejects (a ``SourceError``).
 POISON = "broken/poison.cc"
 
-#: ``(label, jobs, executor)`` of every execution shape under test.
-SHAPES = [("serial", 1, "thread"), ("thread2", 2, "thread"),
-          ("thread4", 4, "thread"), ("process2", 2, "process"),
-          ("process4", 4, "process")]
+#: ``(label, jobs)`` of every execution shape under test.
+SHAPES = [("serial", 1), ("process2", 2), ("process4", 4)]
 
 #: A profile that changes every checker-bundle key, not a parse key.
 PROFILE = RuleProfile(disable=("SG.*",))
@@ -104,7 +102,7 @@ class TestPoolPayloads:
         cache = (Store(str(tmp_path / "store")).object_store()
                  if store else None)
         AssessmentPipeline(PipelineConfig(
-            jobs=2, executor="process", cache=cache)).run(corpus_sources)
+            jobs=2, cache=cache)).run(corpus_sources)
         assert len(shipped) == 1
         function, tasks, results = shipped[0]
         assert function is parallel.run_parse_task
@@ -119,15 +117,15 @@ class TestPoolPayloads:
         for expected in (1, 0):
             shipped.clear()
             AssessmentPipeline(PipelineConfig(
-                jobs=2, executor="process",
+                jobs=2,
                 cache=Store(root).object_store())).run(corpus_sources)
             assert len(shipped) == expected
 
 
-def run(sources, jobs, executor, cache=None, rules=None):
+def run(sources, jobs, cache=None, rules=None):
     tracer = Tracer()
     result = AssessmentPipeline(PipelineConfig(
-        jobs=jobs, executor=executor, cache=cache, rules=rules,
+        jobs=jobs, cache=cache, rules=rules,
         tracer=tracer)).run(sources)
     return result, tracer.metrics
 
@@ -145,7 +143,7 @@ def stage_counts(metrics, cache):
 
 
 class TestEquivalenceMatrix:
-    """Executor × cache temperature, on a corpus with one unparseable
+    """Job count × cache temperature, on a corpus with one unparseable
     file under ``skip_unparseable``.
 
     Files ``F`` and parseable units ``P = F - 1``: a cold store misses
@@ -157,39 +155,38 @@ class TestEquivalenceMatrix:
 
     @pytest.fixture
     def references(self, poisoned):
-        return (digest(run(poisoned, 1, "thread")[0]),
-                digest(run(poisoned, 1, "thread", rules=PROFILE)[0]))
+        return (digest(run(poisoned, 1)[0]),
+                digest(run(poisoned, 1, rules=PROFILE)[0]))
 
-    @pytest.mark.parametrize("label, jobs, executor", SHAPES,
+    @pytest.mark.parametrize("label, jobs", SHAPES,
                              ids=[shape[0] for shape in SHAPES])
     def test_digests_and_counts(self, poisoned, references, tmp_path,
-                                label, jobs, executor):
+                                label, jobs):
         plain, profiled = references
         files = len(poisoned)
         units = files - 1
 
-        result, _ = run(poisoned, jobs, executor)
+        result, _ = run(poisoned, jobs)
         assert result.unparseable == [POISON]
         assert digest(result) == plain
 
         root = str(tmp_path / "store")
         cache = Store(root).object_store()
-        result, metrics = run(poisoned, jobs, executor, cache)
+        result, metrics = run(poisoned, jobs, cache)
         assert digest(result) == plain
         assert stage_counts(metrics, cache) == {
             "parse": (0, files), "check": (0, units),
             "store": (0, files + units, files + units), "reparsed": 0}
 
         cache = Store(root).object_store()
-        result, metrics = run(poisoned, jobs, executor, cache)
+        result, metrics = run(poisoned, jobs, cache)
         assert digest(result) == plain
         assert stage_counts(metrics, cache) == {
             "parse": (files, 0), "check": (units, 0),
             "store": (files + units, 0, 0), "reparsed": 0}
 
         cache = Store(root).object_store()
-        result, metrics = run(poisoned, jobs, executor, cache,
-                              rules=PROFILE)
+        result, metrics = run(poisoned, jobs, cache, rules=PROFILE)
         assert digest(result) == profiled
         assert stage_counts(metrics, cache) == {
             "parse": (files, 0), "check": (0, units),

@@ -1,7 +1,7 @@
 """Tests for the parallel + incremental execution engine.
 
-The engine's contract is exact: any combination of ``jobs``,
-``executor``, and cache temperature must produce an assessment
+The engine's contract is exact: any combination of ``jobs`` (worker
+processes) and cache temperature must produce an assessment
 identical to the serial, cold-cache run.  These tests pin that down on
 the synthetic Apollo corpus, plus the cache and pool primitives.
 """
@@ -50,14 +50,14 @@ def assert_identical(result, reference):
 
 
 class TestDeterminism:
-    def test_thread_pool_jobs_4(self, corpus_sources, serial_result):
-        result = AssessmentPipeline(
-            PipelineConfig(jobs=4)).run(corpus_sources)
-        assert_identical(result, serial_result)
-
     def test_process_pool_jobs_2(self, corpus_sources, serial_result):
         result = AssessmentPipeline(
-            PipelineConfig(jobs=2, executor="process")).run(corpus_sources)
+            PipelineConfig(jobs=2)).run(corpus_sources)
+        assert_identical(result, serial_result)
+
+    def test_process_pool_jobs_4(self, corpus_sources, serial_result):
+        result = AssessmentPipeline(
+            PipelineConfig(jobs=4)).run(corpus_sources)
         assert_identical(result, serial_result)
 
     def test_jobs_zero_means_all_cpus(self, corpus_sources, serial_result):
@@ -113,8 +113,9 @@ class TestConfigValidation:
             AssessmentPipeline(PipelineConfig(jobs=-1))
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigError):
-            AssessmentPipeline(PipelineConfig(executor="fiber"))
+        for executor in ("fiber", "thread"):
+            with pytest.raises(ConfigError, match="worker processes"):
+                AssessmentPipeline(PipelineConfig(executor=executor))
 
     def test_worker_count_resolution(self):
         assert worker_count(3) == 3
@@ -363,7 +364,7 @@ class TestParallelTelemetry:
         assert {s.name for s in parse_span.children} == {"parse_worker"}
 
     def test_task_payloads_pickle(self, corpus_sources):
-        # the process executor's hard requirement
+        # the process pool's hard requirement
         from repro.core.parallel import ParseTask, run_parse_task
         task = ParseTask(items=sorted(corpus_sources.items())[:2],
                          worker=0, traced=True, logged=True)
@@ -404,6 +405,12 @@ class TestCliParallelFlags:
     def test_no_cache_requires_store(self, capsys):
         assert main(["--corpus", "0.02", "--no-cache"]) == 2
         assert "--no-cache requires --store" in capsys.readouterr().err
+
+    def test_executor_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--corpus", "0.02", "--executor", "process"])
+        assert exit_info.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_negative_jobs_clean_error(self, capsys):
         assert main(["--corpus", "0.02", "--jobs", "-3"]) == 2

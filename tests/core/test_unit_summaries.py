@@ -165,7 +165,7 @@ class TestSummaryUnitEquivalence:
                                            sources, serial):
         reference = digest(serial)
         process = AssessmentPipeline(PipelineConfig(
-            jobs=2, executor="process")).run(sources)
+            jobs=2)).run(sources)
         assert digest(process) == reference
 
         store_root = str(tmp_path / "store")

@@ -16,6 +16,9 @@ from repro.core.cli import main
 from repro.obs import LEVELS, NULL_LOG, BufferLog, EventLog, NullLog
 from repro.testing import Fault, FaultPlan, FaultyChecker
 
+#: The pooled run the fan-in tests use: two worker processes.
+POOLED = pytest.mark.parametrize("jobs", [2], ids=["process"])
+
 
 def read_events(stream: io.StringIO):
     return [json.loads(line) for line in
@@ -168,13 +171,13 @@ class TestPipelineEvents:
         assert any(e["event"] == "run.degraded" for e in events)
         assert read_events(stream)[-1]["degraded"] is True
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_worker_events_grafted(self, small_corpus, executor):
+    @POOLED
+    def test_worker_events_grafted(self, small_corpus, jobs):
         sources = small_corpus.sources()
         stream = io.StringIO()
         AssessmentPipeline(PipelineConfig(
             log=EventLog(stream, level="debug", run_id="fan-out"),
-            jobs=2, executor=executor)).run(sources)
+            jobs=jobs)).run(sources)
         events = read_events(stream)
         parse_chunks = [e for e in events
                         if e["event"] == "worker.parse"]
@@ -187,14 +190,14 @@ class TestPipelineEvents:
         assert all(e["run"] == "fan-out" for e in events)
         assert [e["seq"] for e in events] == list(range(len(events)))
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_worker_crash_event_grafted(self, small_corpus, executor):
+    @POOLED
+    def test_worker_crash_event_grafted(self, small_corpus, jobs):
         sources = small_corpus.sources()
         target = sorted(sources)[0]
         plan = FaultPlan([Fault(kind="raise", path=target)])
         stream = io.StringIO()
         result = AssessmentPipeline(PipelineConfig(
-            log=EventLog(stream), jobs=2, executor=executor,
+            log=EventLog(stream), jobs=jobs,
             extra_checkers=(FaultyChecker(plan),))).run(sources)
         assert result.degraded
         crashes = [e for e in read_events(stream)

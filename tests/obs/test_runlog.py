@@ -55,6 +55,12 @@ class TestRunRecord:
         assert record.exit_code == 0
         assert not hasattr(record, "future_field")
 
+    def test_old_thread_executor_record_reads(self):
+        # records from before the pool became process-only say "thread"
+        record = RunRecord.from_dict({"run_id": "abc", "timestamp": "t",
+                                      "jobs": 2, "executor": "thread"})
+        assert record.jobs == 2 and record.executor == "thread"
+
     def test_new_run_id_shape(self):
         first, second = new_run_id(), new_run_id()
         assert len(first) == 12 and first != second
@@ -115,7 +121,7 @@ class TestBuildRunRecord:
         assert sum(record.findings_by_severity.values()) == \
             record.total_findings
         assert record.config_fingerprint and record.rules_fingerprint == ""
-        assert record.jobs == 2 and record.executor == "thread"
+        assert record.jobs == 2 and record.executor == "process"
         assert record.hotspots["files"] and record.hotspots["checkers"]
         assert len(record.hotspots["files"]) <= 5
 
@@ -123,7 +129,8 @@ class TestBuildRunRecord:
         sources = small_corpus.sources()
         result = AssessmentPipeline(PipelineConfig()).run(sources)
         record = build_run_record(result, run_id="x", duration=0.1,
-                                  exit_code=0)
+                                  exit_code=0, config=PipelineConfig())
+        assert record.jobs == 1 and record.executor == "serial"
         assert record.stages == {} and record.cache == {}
         assert record.total_findings > 0
         assert record.timestamp  # stamped from the wall clock

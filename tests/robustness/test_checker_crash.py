@@ -35,22 +35,14 @@ class TestContainment:
         assert crash.traceback  # the original traceback is preserved
         assert_others_unchanged(result, benign_result)
 
-    def test_engine_thread_pool(self, corpus_sources, target_path,
-                                benign_result):
+    def test_engine_process_pool(self, corpus_sources, target_path,
+                                 benign_result):
         result = AssessmentPipeline(crashing_config(
             target_path, jobs=2)).run(corpus_sources)
         assert result.degraded
         crash = result.crashes[0]
         # Engine containment is per unit: the crash names the file.
         assert (crash.stage, crash.path) == ("check_unit", target_path)
-        assert_others_unchanged(result, benign_result)
-
-    def test_engine_process_pool(self, corpus_sources, target_path,
-                                 benign_result):
-        result = AssessmentPipeline(crashing_config(
-            target_path, jobs=2, executor="process")).run(corpus_sources)
-        assert result.degraded
-        assert result.crashes[0].path == target_path
         assert_others_unchanged(result, benign_result)
 
     def test_crash_surfaces_as_internal_finding(self, corpus_sources,
@@ -81,20 +73,13 @@ class TestStrictMode:
             AssessmentPipeline(crashing_config(
                 target_path, strict=True)).run(corpus_sources)
 
-    def test_strict_thread_engine_reraises(self, corpus_sources,
-                                           target_path):
-        with pytest.raises(FaultInjected):
-            AssessmentPipeline(crashing_config(
-                target_path, strict=True, jobs=2)).run(corpus_sources)
-
     def test_strict_process_engine_reraises(self, corpus_sources,
                                             target_path):
         # The worker's exception abandons the chunk; the serial re-run
         # in the parent reproduces it with a real traceback.
         with pytest.raises(FaultInjected):
             AssessmentPipeline(crashing_config(
-                target_path, strict=True, jobs=2,
-                executor="process")).run(corpus_sources)
+                target_path, strict=True, jobs=2)).run(corpus_sources)
 
 
 class _PerUnitBomb(Checker):

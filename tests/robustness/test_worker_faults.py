@@ -1,10 +1,12 @@
-"""Worker robustness: a dead, hung, or unpicklable-result worker costs
-a serial re-run of its chunk, never the run."""
+"""Worker robustness: a dead, hung, raising, or unpicklable-result
+worker costs a serial re-run of its chunk, never the run."""
 
 import os
-import threading
 import time
 
+import pytest
+
+from repro.checkers.base import Checker, CheckerReport
 from repro.core import AssessmentPipeline, PipelineConfig
 from repro.core.parallel import run_tasks
 from repro.obs import Tracer
@@ -31,9 +33,13 @@ def _die_on_marked(task):
 
 def _slow_in_pool(task):
     marked, value = task
-    if marked and threading.current_thread() is not threading.main_thread():
+    if marked and os.getpid() != _MAIN_PID:
         time.sleep(0.5)  # "hang" long past the deadline, pool-side only
     return value * 2
+
+
+def _always_raise(task):
+    raise ValueError(f"task {task} is broken")
 
 
 def _unpicklable_on_marked(task):
@@ -61,15 +67,25 @@ class TestRunTasksFaults:
         tracer = Tracer()
         started = time.monotonic()
         results = run_tasks(_slow_in_pool, tasks, jobs=2,
-                            executor="thread", timeout=0.05,
+                            executor="process", timeout=0.05,
                             metrics=tracer.metrics)
         assert results == [2, 4, 6]
         # The run must not have waited out the full 0.5 s hang.
         assert time.monotonic() - started < 0.45
         assert tracer.metrics.counter("parallel.task_timeouts",
-                                      executor="thread").value >= 1
+                                      executor="process").value >= 1
         assert tracer.metrics.counter("parallel.serial_fallbacks",
-                                      executor="thread").value >= 1
+                                      executor="process").value >= 1
+
+    def test_task_exception_reraised_from_serial_rerun(self):
+        """The pool's one failure rule: a raising task is counted, then
+        re-run serially, and its genuine exception surfaces from there."""
+        tracer = Tracer()
+        with pytest.raises(ValueError, match="is broken"):
+            run_tasks(_always_raise, [1, 2], jobs=2, executor="process",
+                      metrics=tracer.metrics)
+        assert tracer.metrics.counter("parallel.task_errors",
+                                      executor="process").value >= 1
 
     def test_unpicklable_result_recomputed_in_parent(self):
         tasks = [(False, 1), (True, 2), (False, 3)]
@@ -88,10 +104,10 @@ class TestRunTasksFaults:
         tracer = Tracer()
         results = run_tasks(_die_on_marked,
                             [(False, 1), (False, 2)], jobs=2,
-                            executor="thread", metrics=tracer.metrics)
+                            executor="process", metrics=tracer.metrics)
         assert results == [2, 4]
         assert tracer.metrics.counter("parallel.serial_fallbacks",
-                                      executor="thread").value == 0
+                                      executor="process").value == 0
 
 
 class TestPipelineWorkerDeath:
@@ -105,7 +121,7 @@ class TestPipelineWorkerDeath:
                                 path=target_path)])
         tracer = Tracer()
         result = AssessmentPipeline(PipelineConfig(
-            jobs=2, executor="process", tracer=tracer,
+            jobs=2, tracer=tracer,
             extra_checkers=(FaultyChecker(plan),))).run(corpus_sources)
         assert result.degraded
         assert result.crashes[0].exc_type == "WorkerExit"
@@ -122,11 +138,47 @@ class TestPipelineWorkerDeath:
                                 path=target_path, seconds=0.4)])
         tracer = Tracer()
         result = AssessmentPipeline(PipelineConfig(
-            jobs=2, executor="thread", task_timeout=0.05, tracer=tracer,
+            jobs=2, task_timeout=0.05, tracer=tracer,
             extra_checkers=(FaultyChecker(plan),))).run(corpus_sources)
-        # The hang is transient (fires once), so the serial re-run
-        # completes cleanly: full results, zero degradation.
+        # A hang only delays: the serial re-run completes cleanly (its
+        # copy of the plan sleeps once more, then returns), so full
+        # results, zero degradation.
         assert not result.degraded
         assert_others_unchanged(result, benign_result)
         assert tracer.metrics.counter("parallel.task_timeouts",
-                                      executor="thread").value >= 1
+                                      executor="process").value >= 1
+
+
+class UnpicklableChecker(Checker):
+    """A benign per-unit checker that holds a lambda, so no task that
+    carries it can be pickled for a worker process."""
+
+    name = "unpicklable"
+    version = "unpicklable:1"
+
+    def __init__(self) -> None:
+        self.make_report = lambda: CheckerReport(checker=self.name)
+
+    def check_unit(self, unit):
+        return self.make_report()
+
+
+class TestUnpicklableChecker:
+    def test_every_task_recomputed_serially(self, corpus_sources):
+        """Where a thread pool once shared the checker, a process pool
+        cannot ship it: every task falls back to the parent, and the
+        run still equals the serial one, undegraded."""
+        serial = AssessmentPipeline(PipelineConfig(
+            extra_checkers=(UnpicklableChecker(),))).run(corpus_sources)
+        tracer = Tracer()
+        pooled = AssessmentPipeline(PipelineConfig(
+            jobs=2, tracer=tracer,
+            extra_checkers=(UnpicklableChecker(),))).run(corpus_sources)
+        assert pooled.to_dict() == serial.to_dict()
+        assert not pooled.degraded
+        metrics = tracer.metrics
+        tasks = 2
+        assert metrics.counter("parallel.task_errors",
+                               executor="process").value == tasks
+        assert metrics.counter("parallel.serial_fallbacks",
+                               executor="process").value == tasks

@@ -48,6 +48,12 @@ class TestArgumentValidation:
     def test_log_level_requires_log_json(self, tree, capsys):
         assert main([tree, "--log-level", "debug"]) == 2
 
+    def test_executor_flag_removed(self, tree, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([tree, "--executor", "process"])
+        assert exit_info.value.code == 2
+        assert "--executor" in capsys.readouterr().err
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["src"])
         assert args.interval == 2.0

@@ -117,7 +117,7 @@ class TestInterruptedRunLeaksNothing:
         monkeypatch.setattr("repro.core.pipeline.run_tasks",
                             interrupted_run_tasks)
         pipeline = AssessmentPipeline(PipelineConfig(
-            jobs=2, executor="thread", cache=cache))
+            jobs=2, cache=cache))
         sources = {"a.cpp": "int f() { return 1; }\n",
                    "b.cpp": "int g() { return 2; }\n"}
         with pytest.raises(KeyboardInterrupt):
