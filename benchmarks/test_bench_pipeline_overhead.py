@@ -63,11 +63,9 @@ def _baseline_assess(sources):
             complexity=summarize_units(members),
             class_count=sum(len(u.classes) for u in members),
             global_count=sum(len(u.mutable_globals) for u in members)))
-    style = StyleChecker(config.style)
-    for path, source in sources.items():
-        style.add_source(path, source)
     checkers = [MisraChecker(), CastChecker(), DefensiveChecker(),
-                GlobalVariableChecker(), NamingChecker(), style,
+                GlobalVariableChecker(), NamingChecker(),
+                StyleChecker(config.style),
                 UnitDesignChecker(),
                 ArchitectureChecker(config.architecture, config.module_of),
                 GpuSubsetChecker()]

@@ -420,6 +420,10 @@ class Checker:
     by :meth:`check_unit` alike.  Project-level checkers that need
     cross-file information (call graphs, include graphs) additionally
     override :meth:`finish_from_units` or :meth:`check_project`.
+
+    Everything a per-unit check reads rides on the unit — its tokens,
+    model, and source text — so one checker instance serves every file
+    and every pool task unchanged.
     """
 
     #: Stable checker name, used as the report key.
@@ -639,17 +643,6 @@ class Checker:
                 suffix += f"@rules:{tag}"
         return (f"{type(self).__module__}.{type(self).__qualname__}"
                 f":{self.version}{suffix}")
-
-    def for_paths(self, paths: Iterable[str]) -> "Checker":
-        """A checker equivalent to ``self`` for checking exactly the
-        files at ``paths``.
-
-        Stateless checkers (the default) return ``self``.  Checkers
-        holding per-file state (:class:`~repro.checkers.style.
-        StyleChecker`'s registered sources) override this to prune that
-        state, so process-pool tasks ship only their own chunk's data.
-        """
-        return self
 
     def check_project(self,
                       units: Iterable[TranslationUnit]) -> CheckerReport:

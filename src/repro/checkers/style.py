@@ -43,45 +43,23 @@ class StyleConfig:
 
 
 class StyleChecker(Checker):
-    """Line-level and file-level Google-style checks.
-
-    Needs the original source text, so callers must register sources with
-    :meth:`add_source` (the assessment pipeline does this automatically).
-    """
+    """Line-level and file-level Google-style checks over the unit's
+    source text (:attr:`~repro.lang.cppmodel.TranslationUnit.source`)."""
 
     name = "style"
 
     def __init__(self, config: StyleConfig = StyleConfig()) -> None:
         self.config = config
-        self._sources = {}
-
-    def add_source(self, filename: str, source: str) -> None:
-        """Register the raw text of a file before checking its unit."""
-        self._sources[filename] = source
-
-    def for_paths(self, paths) -> "StyleChecker":
-        """A copy carrying only the sources of ``paths`` (see base)."""
-        pruned = StyleChecker(self.config)
-        pruned.profile = self.profile
-        for path in paths:
-            source = self._sources.get(path)
-            if source is not None:
-                pruned.add_source(path, source)
-        return pruned
 
     def unit_visitor(self, unit: TranslationUnit, report: CheckerReport,
                      sweep) -> None:
-        """Style checks read the registered raw source, not the token
-        stream, so the battery runs whole from the end hook."""
+        """Style checks read the raw source, not the token stream, so
+        the battery runs whole from the end hook."""
         sweep.at_end(lambda: self._check_into(unit, report))
 
     def _check_into(self, unit: TranslationUnit,
                     report: CheckerReport) -> None:
-        source = self._sources.get(unit.filename)
-        if source is None:
-            # Reconstruct approximate lines from tokens is lossy; without
-            # text we can only run token-level checks.
-            source = ""
+        source = unit.source
         lines = source.split("\n") if source else []
         violations = 0
         previous = ""

@@ -216,8 +216,8 @@ class ParseTask:
 
     items: List[Tuple[str, str]]
     worker: int
-    #: The per-unit checkers, pruned to this chunk's files with
-    #: :meth:`~repro.checkers.base.Checker.for_paths`.
+    #: The run's per-unit checkers (see :func:`~repro.checkers.base.
+    #: split_checkers`); each reads the text it checks off the unit.
     checkers: List[Checker] = field(default_factory=list)
     traced: bool = False
     #: Re-raise parser and checker crashes instead of containing them.

@@ -299,7 +299,7 @@ class AssessmentPipeline:
              crashes: List[CheckerCrash], tracer, log,
              previous: Optional[AssessmentResult]) -> AssessmentResult:
         with tracer.span("pipeline") as root:
-            checkers = self._checkers(sources)
+            checkers = self._checkers()
             per_unit, _ = split_checkers(checkers)
             units, bundles, unparseable, files = self._parse_all(
                 sources, per_unit, crashes)
@@ -310,8 +310,8 @@ class AssessmentPipeline:
             base = self._fold_base(signature, keys, previous,
                                    units_by_path, bundles)
             project, module_of, (reused, recomputed) = \
-                self._project_stages(sources, checkers, units, bundles,
-                                     crashes, base)
+                self._project_stages(checkers, units, bundles, crashes,
+                                     base)
             root.set("units", len(units))
             root.set("jobs", self.jobs)
         reports = project.reports
@@ -366,8 +366,7 @@ class AssessmentPipeline:
             len(changed))
         return _FoldBase(previous, changed, change)
 
-    def _project_stages(self, sources: Mapping[str, str],
-                        checkers: List[Checker],
+    def _project_stages(self, checkers: List[Checker],
                         units: List[UnitSummary],
                         bundles: Dict[str, Bundle],
                         crashes: List[CheckerCrash],
@@ -384,8 +383,7 @@ class AssessmentPipeline:
         tracer = self.tracer
         metrics = tracer.metrics
         previous = base.previous if base is not None else None
-        modules, module_of, remeasured = self._measure_modules(
-            sources, units, base)
+        modules, module_of, remeasured = self._measure_modules(units, base)
         with tracer.span("checkers") as span:
             reports = finish_checkers(
                 checkers, units,
@@ -582,8 +580,7 @@ class AssessmentPipeline:
         tasks = [
             ParseTask(items=[(path, sources[path]) for path in chunk],
                       worker=index,
-                      checkers=[checker.for_paths(chunk)
-                                for checker in per_unit],
+                      checkers=per_unit,
                       traced=tracer.enabled, strict=self.config.strict,
                       logged=self.log.enabled)
             for index, chunk in enumerate(chunk_evenly(paths, self.jobs))]
@@ -674,8 +671,7 @@ class AssessmentPipeline:
     # ------------------------------------------------------------------
     # stage 2: metrics
 
-    def _measure_modules(self, sources: Mapping[str, str],
-                         units: List[UnitSummary],
+    def _measure_modules(self, units: List[UnitSummary],
                          base: Optional[_FoldBase]
                          ) -> Tuple[List[ModuleMetrics], Dict[str, str],
                                     int]:
@@ -711,8 +707,7 @@ class AssessmentPipeline:
                 metrics = (previous.get(name) if name not in dirty
                            else None)
                 if metrics is None:
-                    metrics = measure_module(name, sources, members,
-                                             tracer=self.tracer)
+                    metrics = measure_module(name, members, tracer=self.tracer)
                     measured += 1
                 modules.append(metrics)
             if base is not None and not measured \
@@ -729,17 +724,14 @@ class AssessmentPipeline:
     # ------------------------------------------------------------------
     # stage 3: checkers
 
-    def _checkers(self, sources: Mapping[str, str]) -> List[Checker]:
-        style = StyleChecker(self.config.style)
-        for path, source in sources.items():
-            style.add_source(path, source)
+    def _checkers(self) -> List[Checker]:
         checkers: List[Checker] = [
             MisraChecker(),
             CastChecker(),
             DefensiveChecker(),
             GlobalVariableChecker(),
             NamingChecker(),
-            style,
+            StyleChecker(self.config.style),
             UnitDesignChecker(),
             ArchitectureChecker(self.config.architecture,
                                 self.config.module_of),

@@ -190,6 +190,8 @@ class TranslationUnit:
     """The fuzzy model of one source file."""
 
     filename: str
+    #: The file's text, for checks that read raw lines (style).
+    source: str
     tokens: List[Token]
     code: List[Token]
     functions: List[FunctionInfo]
@@ -262,6 +264,7 @@ class CppModelBuilder:
         line_count = self.source.count("\n") + (1 if self.source else 0)
         return TranslationUnit(
             filename=self.filename,
+            source=self.source,
             tokens=self.tokens,
             code=self.code,
             functions=self.functions,

@@ -10,7 +10,7 @@ each complexity threshold (bars).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 from ..lang.cppmodel import TranslationUnit
 from ..lang.lines import EMPTY_LINE_COUNTS, LineCounts
@@ -49,16 +49,12 @@ class ModuleMetrics:
 
 
 def measure_module(name: str,
-                   sources: Mapping[str, str],
                    units: Iterable[Union[TranslationUnit, UnitSummary]],
                    tracer=None) -> ModuleMetrics:
     """Aggregate metrics for one module.
 
     Args:
         name: module name (e.g. ``"perception"``).
-        sources: filename -> source text of the module's files.  Line
-            counts come from each file's summary, counted when the file
-            was parsed, so this mapping is no longer read.
         units: the per-file summaries (:class:`~repro.lang.summary.
             UnitSummary`) of the module's files, or their full parsed
             models, which are summarized first.

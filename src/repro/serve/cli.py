@@ -19,7 +19,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..errors import ReproError
+from ..errors import ReproError, ServeError
 from ..obs import LEVELS, EventLog
 from ..rules import REGISTRY, profile_from_globs
 from ..store import Store, new_run_id
@@ -91,10 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_endpoint(value: str):
     host, separator, port = value.rpartition(":")
-    if not separator or not host:
+    if not separator or not host or not port.isdigit():
         raise ValueError(
             f"--tcp expects HOST:PORT, got {value!r}")
-    return host, int(port)
+    number = int(port)
+    if number > 65535:
+        raise ValueError(f"--tcp port must be 0-65535, got {number}")
+    return host, number
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -159,7 +162,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             def announce(bound) -> None:
                 print(f"repro-serve listening on "
                       f"{bound[0]}:{bound[1]}", file=sys.stderr)
-            run_tcp(server, endpoint[0], endpoint[1], ready=announce)
+            try:
+                run_tcp(server, endpoint[0], endpoint[1],
+                        ready=announce)
+            except ServeError as error:
+                print(str(error), file=sys.stderr)
+                return 2
             return 0
         run_stdio(server, sys.stdin, sys.stdout)
         return 0

@@ -520,6 +520,10 @@ def run_tcp(server: AssessmentServer, host: str, port: int,
     the actual assessment work.  ``port`` may be 0 (ephemeral); the
     bound ``(host, port)`` is passed to ``ready`` once listening, so
     tests and CI can connect without racing the bind.
+
+    Raises:
+        ServeError: when the address cannot be bound (in use, not
+            local, unresolvable).
     """
     import socketserver
 
@@ -541,7 +545,12 @@ def run_tcp(server: AssessmentServer, host: str, port: int,
         allow_reuse_address = True
         daemon_threads = True
 
-    with Server((host, port), Handler) as tcp_server:
+    try:
+        tcp_server = Server((host, port), Handler)
+    except OSError as error:
+        raise ServeError(
+            f"cannot listen on {host}:{port}: {error}") from None
+    with tcp_server:
         bound = tcp_server.server_address
         server.log.info("serve.listening", host=bound[0],
                         port=bound[1])

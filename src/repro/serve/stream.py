@@ -105,12 +105,14 @@ def watch_events(server, root: str, *, iterations: int = 0,
                    "delta": delta.to_dict(), "error": str(error),
                    "degraded": True}
             continue
-        current = server.results[root]
         event: Dict[str, Any] = {
             "event": "update", "iteration": count,
             "delta": delta.to_dict(), **reply,
         }
         if previous is not None:
-            event["diff"] = server.diff(root)["verdicts"]
-            event["finding_diff"] = finding_diff(previous, current)
+            # One diff reply carries both layers: the assess above
+            # made ``previous`` the server's "before" side.
+            diff = server.diff(root)
+            event["diff"] = diff["verdicts"]
+            event["finding_diff"] = diff["findings"]
         yield event

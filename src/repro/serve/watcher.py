@@ -6,9 +6,10 @@ didn't change, don't re-emit what didn't really change*:
 * a fast ``os.stat`` pass over the walked tree decides which files
   even need re-reading (mtime_ns + size unchanged ⇒ content assumed
   unchanged — the same heuristic build systems use);
-* files whose stat moved are re-read and content-hashed: an editor's
-  save that rewrote identical bytes (format-on-save, atomic-rename
-  churn) is *touched*, not *changed*, and triggers no re-assessment;
+* files whose stat moved are re-read and compared with the kept
+  text: an editor's save that rewrote identical bytes (format-on-save,
+  atomic-rename churn) is *touched*, not *changed*, and triggers no
+  re-assessment;
 * a file that vanishes between the walk and the read (the classic
   atomic-rename race) is folded into ``removed`` instead of crashing
   the iteration, and one that turns unreadable (EACCES, broken
@@ -23,7 +24,6 @@ the changed files then falls out of the content-addressed result cache
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -32,10 +32,6 @@ from ..corpus.writer import SOURCE_EXTENSIONS, iter_tree_files
 from ..obs.log import NULL_LOG, EventLog
 
 __all__ = ["TreeWatcher", "WatchDelta"]
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 @dataclass
@@ -92,7 +88,6 @@ class TreeWatcher:
         self.polls = 0
         self.skipped_total = 0
         self._stats: Dict[str, Tuple[int, int]] = {}
-        self._digests: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
 
@@ -142,10 +137,9 @@ class TreeWatcher:
                 if not known:
                     seen.discard(relative)
                 continue
-            digest = _digest(text)
             if not known:
                 delta.added.append(relative)
-            elif digest == self._digests.get(relative):
+            elif text == self.sources[relative]:
                 delta.touched.append(relative)
                 self._stats[relative] = state
                 continue
@@ -153,12 +147,10 @@ class TreeWatcher:
                 delta.changed.append(relative)
             self.sources[relative] = text
             self._stats[relative] = state
-            self._digests[relative] = digest
         for relative in sorted(set(self.sources) - seen):
             delta.removed.append(relative)
             del self.sources[relative]
             self._stats.pop(relative, None)
-            self._digests.pop(relative, None)
         for paths in (delta.added, delta.changed, delta.touched,
                       delta.skipped):
             paths.sort()

@@ -17,7 +17,7 @@ believed.  This module provides the controlled failures the
 * :func:`corrupt_cache_entries` / :func:`plant_stale_tmp` — disk-level
   damage for :class:`~repro.store.objects.ObjectStore` recovery tests.
 
-Run ``python -m repro.testing.faults`` for a self-contained smoke test
+Run ``python -m repro.testing`` for a self-contained smoke test
 (used by CI): it injects a crashing checker into a small synthetic
 corpus and asserts both the degraded completion and the ``strict``
 abort.
@@ -218,7 +218,8 @@ def plant_stale_tmp(cache: ObjectStore, count: int = 1) -> List[str]:
 
 
 def _smoke() -> int:
-    """End-to-end self-check of the containment stack (used by CI)."""
+    """End-to-end self-check of the containment stack; run it with
+    ``python -m repro.testing``."""
     from ..core.config import PipelineConfig
     from ..core.pipeline import assess_sources
     from ..corpus.apollo import apollo_spec
@@ -263,7 +264,3 @@ def _smoke() -> int:
     print("fault-injection smoke: OK "
           f"({len(result.crashes)} contained crash, strict aborts)")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(_smoke())

@@ -1,13 +1,14 @@
 """Tests for the style and naming checkers."""
 
-from repro.checkers import NamingChecker, StyleChecker, StyleConfig
+from repro.checkers import (NamingChecker, StyleChecker, StyleConfig,
+                            run_checkers)
+from repro.core.pipeline import AssessmentPipeline
 from repro.lang import parse_translation_unit
 
 
 def style_check(source, filename="t.cc", config=StyleConfig()):
-    checker = StyleChecker(config)
-    checker.add_source(filename, source)
-    return checker.check_unit(parse_translation_unit(source, filename))
+    return StyleChecker(config).check_unit(
+        parse_translation_unit(source, filename))
 
 
 def naming_check(source, filename="t.cc"):
@@ -82,6 +83,30 @@ class TestStyleChecker:
     def test_violations_per_kloc(self):
         report = style_check("int x;\t\n" * 10)
         assert report.stats["violations_per_kloc"] > 0
+
+
+class TestStyleSourceChannel:
+    """The style checker reads the text off the parsed unit: used
+    directly, with no registration step, it reports what the pipeline
+    reports for the same file."""
+
+    SOURCE = ("int a = 0; \n"
+              "int b =\t1;\n"
+              "void F()\n"
+              "{\n"
+              "   return;\n"
+              "}")
+
+    def test_direct_use_equals_pipeline(self):
+        unit = parse_translation_unit(self.SOURCE, "a.cc")
+        piped = AssessmentPipeline().run({"a.cc": self.SOURCE})
+        expected = piped.reports["style"]
+        assert rules_of(expected) == {
+            "SG.trailing_ws", "SG.tab", "SG.brace_own_line", "SG.indent",
+            "SG.final_newline"}
+        assert expected.stats["checked_lines"] == 6
+        assert run_checkers([StyleChecker()], [unit])["style"] == expected
+        assert StyleChecker().check_unit(unit) == expected
 
 
 class TestNamingChecker:

@@ -185,9 +185,9 @@ class TestObjectStoreCache:
 
 
 class TestCheckerProtocol:
-    def test_split_is_exact(self, corpus_sources):
+    def test_split_is_exact(self):
         pipeline = AssessmentPipeline()
-        checkers = pipeline._checkers(corpus_sources)
+        checkers = pipeline._checkers()
         per_unit, project = split_checkers(checkers)
         # unit_design distributes since it grew finish_from_units: its
         # per-unit portion rides the bundle, the recursion pass runs on
@@ -204,14 +204,6 @@ class TestCheckerProtocol:
         assert default != tightened
         assert Checker.version in default
 
-    def test_style_for_paths_prunes_sources(self):
-        style = StyleChecker()
-        style.add_source("a.cc", "int a;\n")
-        style.add_source("b.cc", "int b;\n")
-        pruned = style.for_paths(["a.cc"])
-        assert pruned._sources == {"a.cc": "int a;\n"}
-        assert pruned.config is style.config
-
 
 class TestFingerprintInvalidation:
     """A profile (or version bump) must invalidate exactly the entries
@@ -221,13 +213,13 @@ class TestFingerprintInvalidation:
         from repro.rules import RuleProfile
         style = StyleChecker()
         globals_default = \
-            AssessmentPipeline()._checkers({})[3].fingerprint()
+            AssessmentPipeline()._checkers()[3].fingerprint()
         default = style.fingerprint()
         style.profile = RuleProfile(disable=("SG.*",))
         assert style.fingerprint() != default
         # the same profile leaves checkers without SG rules untouched
         checkers = AssessmentPipeline(PipelineConfig(
-            rules=RuleProfile(disable=("SG.*",))))._checkers({})
+            rules=RuleProfile(disable=("SG.*",))))._checkers()
         by_name = {checker.name: checker for checker in checkers}
         assert by_name["globals"].fingerprint() == globals_default
         assert by_name["style"].fingerprint() == style.fingerprint()

@@ -135,10 +135,10 @@ class TestTokenFreeParseEntries:
 
 
 class TestSummaryUnitEquivalence:
-    def test_measure_module(self, sources, units):
+    def test_measure_module(self, units):
         summaries = [summarize_unit(unit) for unit in units]
-        assert (measure_module("all", sources, units)
-                == measure_module("all", sources, summaries))
+        assert (measure_module("all", units)
+                == measure_module("all", summaries))
 
     def test_unit_design_project(self, units):
         checker = UnitDesignChecker()

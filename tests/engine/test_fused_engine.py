@@ -40,15 +40,14 @@ def units(corpus_sources):
             for path, source in sorted(corpus_sources.items())]
 
 
-def builtin_checkers(sources):
-    return AssessmentPipeline(PipelineConfig())._checkers(sources)
+def builtin_checkers():
+    return AssessmentPipeline(PipelineConfig())._checkers()
 
 
 class TestByteIdentical:
-    def test_shared_bundle_equals_own_check_unit(self, corpus_sources,
-                                                 units):
-        per_unit, _ = split_checkers(builtin_checkers(corpus_sources))
-        alone, _ = split_checkers(builtin_checkers(corpus_sources))
+    def test_shared_bundle_equals_own_check_unit(self, units):
+        per_unit, _ = split_checkers(builtin_checkers())
+        alone, _ = split_checkers(builtin_checkers())
         for unit in units:
             bundle = fused_unit_bundle(per_unit, unit)
             assert list(bundle) == [checker.name for checker in per_unit]
@@ -58,14 +57,13 @@ class TestByteIdentical:
 
     def test_pipeline_matches_run_checkers(self, corpus_sources, units):
         result = AssessmentPipeline(PipelineConfig()).run(corpus_sources)
-        reference = run_checkers(builtin_checkers(corpus_sources), units)
+        reference = run_checkers(builtin_checkers(), units)
         assert set(result.reports) == set(reference)
         for name, report in reference.items():
             assert result.reports[name] == report, name
 
-    def test_every_builtin_per_unit_checker_registers(self,
-                                                      corpus_sources):
-        checkers = builtin_checkers(corpus_sources)
+    def test_every_builtin_per_unit_checker_registers(self):
+        checkers = builtin_checkers()
         per_unit, project = split_checkers(checkers)
         for checker in per_unit:
             assert type(checker).unit_visitor \
@@ -161,7 +159,7 @@ class TestFallbackAndContainment:
 
     def test_crash_is_contained_and_attributed(self, corpus_sources,
                                                units):
-        per_unit, _ = split_checkers(builtin_checkers(corpus_sources))
+        per_unit, _ = split_checkers(builtin_checkers())
         unit = units[0]
         clean = fused_unit_bundle(per_unit, unit)
         bundle = fused_unit_bundle(per_unit + [_SweepCrasher()], unit)
@@ -177,7 +175,7 @@ class TestFallbackAndContainment:
             assert bundle[name] == report, name
 
     def test_strict_reraises_sweep_crash(self, corpus_sources, units):
-        per_unit, _ = split_checkers(builtin_checkers(corpus_sources))
+        per_unit, _ = split_checkers(builtin_checkers())
         with pytest.raises(RuntimeError):
             fused_unit_bundle(per_unit + [_SweepCrasher()], units[0],
                               strict=True)

@@ -145,7 +145,7 @@ class TestModuleMetrics:
         }
         units = [parse_translation_unit(text, path)
                  for path, text in sources.items()]
-        module = measure_module("m", sources, units)
+        module = measure_module("m", units)
         assert module.file_count == 2
         assert module.function_count == 2
         assert module.class_count == 1
@@ -165,7 +165,7 @@ class TestModuleMetrics:
             module = path.split("/")[0]
             units_by_module.setdefault(module, []).append(
                 parse(text, path))
-        modules = [measure_module(name, sources, units)
+        modules = [measure_module(name, units)
                    for name, units in units_by_module.items()]
         expected = small_corpus.spec.expected_over_ten
         assert total_moderate_or_higher(modules) == expected

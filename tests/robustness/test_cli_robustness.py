@@ -47,8 +47,8 @@ def inject_crash(monkeypatch, tree):
     target = sorted(read_tree(tree))[0]
     original = _Pipeline._checkers
 
-    def patched(self, sources):
-        checkers = original(self, sources)
+    def patched(self):
+        checkers = original(self)
         checkers.append(FaultyChecker(FaultPlan([
             Fault("raise", site="check_unit", path=target)])))
         return checkers

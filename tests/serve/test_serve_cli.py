@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import socket
 
 import pytest
 
@@ -40,6 +41,22 @@ class TestArgumentValidation:
     def test_bad_tcp_endpoint(self, tree, capsys):
         assert main([tree, "--tcp", "9026"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    def test_tcp_port_out_of_range(self, tree, capsys):
+        assert main([tree, "--tcp", "127.0.0.1:70000"]) == 2
+        err = capsys.readouterr().err
+        assert "0-65535" in err
+        assert "Traceback" not in err
+
+    def test_tcp_port_in_use(self, tree, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            assert main([tree, "--tcp", f"127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot listen on 127.0.0.1:{port}")
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_rule_glob(self, tree, capsys):
         assert main([tree, "--enable", "NOPE*"]) == 2

@@ -56,6 +56,27 @@ class TestWatchLoop:
                    for finding in update["finding_diff"]["fixed"])
         assert "improved" in update["diff"]  # verdict-level rollup
 
+    def test_update_computes_its_finding_diff_once(self, tree,
+                                                   monkeypatch):
+        from repro.serve import server as server_module
+        from repro.serve import stream as stream_module
+        calls = []
+
+        def counted(before, after):
+            calls.append(1)
+            return finding_diff(before, after)
+
+        for module in (server_module, stream_module):
+            monkeypatch.setattr(module, "finding_diff", counted)
+        server = AssessmentServer(tree)
+        events = run_watch(
+            server, tree,
+            [lambda: write(tree, "clean.cpp", GOTO + CLEAN)])
+        assert len(calls) == 1
+        update = events[1]
+        assert update["finding_diff"] == finding_diff(
+            server.previous[tree], server.results[tree])
+
     def test_update_reuses_the_unchanged_files_cache(self, tree):
         server = AssessmentServer(tree)
         events = run_watch(
