@@ -6,8 +6,9 @@ engine's three contracts — every configuration is result-identical to
 the serial run, a warm-cache re-assessment beats the cold serial
 sweep, and the cold serial sweep beats the recorded pre-engine
 baseline for the same corpus scale by at least
-``REPRO_BENCH_MIN_SPEEDUP`` — and appends a data point to
-``BENCH_parallel.json`` at the repo root.
+``REPRO_BENCH_MIN_SPEEDUP`` — and, with ``REPRO_BENCH_RECORD=1``,
+appends a data point to ``BENCH_parallel.json`` at the repo root (a plain
+run leaves the tracked file untouched).
 
 The default corpus scale is 1.0 (the full synthetic Apollo corpus,
 ~1.4k files / ~230k LOC) so recorded points are comparable with
@@ -37,6 +38,8 @@ ROUNDS = 3 if SCALE <= 0.1 else 1
 #: baseline.  The engine lands ~3.4-3.8x on the reference box; 2.0
 #: leaves headroom for slower or contended CI runners.
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
+#: Append the run's point to BENCH_FILE only when REPRO_BENCH_RECORD=1.
+RECORD = os.environ.get("REPRO_BENCH_RECORD") == "1"
 
 _HERE = os.path.dirname(__file__)
 BENCH_FILE = os.path.join(_HERE, os.pardir, "BENCH_parallel.json")
@@ -122,6 +125,8 @@ class TestParallelBenchmark:
 
 def _record_bench_point(file_count, serial_seconds, parallel_seconds,
                         cold_seconds, warm_seconds, pre_engine_seconds):
+    if not RECORD:
+        return
     document = {"benchmark": "parallel_incremental", "points": []}
     if os.path.exists(BENCH_FILE):
         try:

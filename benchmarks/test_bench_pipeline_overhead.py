@@ -4,8 +4,10 @@ The telemetry PR threaded spans and counters through every pipeline
 stage.  With the default :data:`~repro.obs.NULL_TRACER` those are shared
 no-op objects, so the instrumented pipeline must run at the same speed
 as a hand-rolled un-instrumented equivalent of the same stages.  This
-benchmark measures both, asserts the ratio, and appends a data point to
-``BENCH_pipeline.json`` at the repo root for trend tracking.
+benchmark measures both, asserts the ratio, and, with
+``REPRO_BENCH_RECORD=1``, appends a data point to ``BENCH_pipeline.json``
+at the repo root for trend tracking (a plain run leaves the tracked file
+untouched).
 """
 
 import json
@@ -38,6 +40,8 @@ ROUNDS = 5
 #: NullTracer spans are shared no-op context managers; anything past
 #: this ratio means the disabled path grew real work.
 MAX_OVERHEAD_RATIO = 1.25
+#: Append the run's point to BENCH_FILE only when REPRO_BENCH_RECORD=1.
+RECORD = os.environ.get("REPRO_BENCH_RECORD") == "1"
 
 BENCH_FILE = os.path.join(os.path.dirname(__file__), os.pardir,
                           "BENCH_pipeline.json")
@@ -126,6 +130,8 @@ class TestPipelineOverhead:
 
 
 def _record_bench_point(file_count, baseline, instrumented, ratio):
+    if not RECORD:
+        return
     document = {"benchmark": "pipeline_overhead", "points": []}
     if os.path.exists(BENCH_FILE):
         try:

@@ -28,8 +28,6 @@ starting from nothing.  What the fold needs beyond the report rides on
 
 from __future__ import annotations
 
-import functools
-import inspect
 import traceback as traceback_module
 from dataclasses import dataclass, field, replace
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
@@ -496,9 +494,13 @@ class Checker:
         unit design's call-graph recursion pass) overrides this so the
         pipeline can still distribute and cache its per-unit portion.
 
-        ``fold`` (see :meth:`merge_units`) makes the merge incremental;
-        the pipeline passes it only to an implementation that declares
-        the parameter, and the result equals the fold-free one.
+        ``fold`` (see :meth:`merge_units`) makes the merge incremental,
+        and the result equals the fold-free one.  The pipeline passes it
+        exactly when the previous report carries
+        :attr:`~CheckerReport.partials`, which this default sets through
+        :meth:`settle`: an override that calls :meth:`settle` or sets
+        partials must declare ``fold`` too; one that sets none is never
+        passed it.
         """
         report = CheckerReport(checker=self.name)
         tally = self.merge_units(report, unit_reports, fold)
@@ -653,7 +655,10 @@ class Checker:
         pipeline replays it from per-unit reports.  A checker
         overriding only this method is project-level, and the pipeline
         hands it the files' :class:`~repro.lang.summary.UnitSummary`
-        records.
+        records.  Such an override is passed ``fold=`` exactly when its
+        previous report carries :attr:`~CheckerReport.partials`: one
+        that sets partials declares ``fold`` (as architecture's does),
+        and one that sets none keeps this signature.
         """
         units = list(units)
         return self.finish_from_units(
@@ -712,16 +717,6 @@ def split_checkers(checkers: Sequence[Checker]
              if not _finishes_from_units(checker)])
 
 
-@functools.lru_cache(maxsize=None)
-def _accepts_fold(method) -> bool:
-    """True when ``method`` (a finish or check-project implementation)
-    declares the ``fold`` parameter."""
-    try:
-        return "fold" in inspect.signature(method).parameters
-    except (TypeError, ValueError):
-        return False
-
-
 def finish_checkers(checkers: Sequence[Checker],
                     units: Sequence[Union[TranslationUnit, UnitSummary]],
                     bundles: Sequence[Dict[str, CheckerReport]],
@@ -739,10 +734,12 @@ def finish_checkers(checkers: Sequence[Checker],
 
     With ``change`` — the previous run's reports over the same checkers,
     and the files changed since — an empty change shares every previous
-    report, and an implementation declaring a ``fold`` parameter whose
-    previous report carries :attr:`~CheckerReport.partials` is handed
-    its :class:`ProjectDelta` instead of starting from nothing.  The
-    reports equal fold-free ones either way.
+    report, and a checker whose previous report carries
+    :attr:`~CheckerReport.partials` is handed its :class:`ProjectDelta`
+    as ``fold=`` instead of starting from nothing.  The contract: an
+    implementation that sets partials (through :meth:`Checker.settle`
+    or by hand) declares ``fold``; one that sets none is never passed
+    it.  The reports equal fold-free ones either way.
 
     This is the one place project-level work is contained: a checker
     raising a non-:class:`~repro.errors.ReproError` gets a
@@ -772,10 +769,7 @@ def finish_checkers(checkers: Sequence[Checker],
                 report = previous
                 span.set("reused", 1)
             else:
-                if previous is not None and previous.partials is not None \
-                        and _accepts_fold(type(checker).finish_from_units
-                                          if per_unit else
-                                          type(checker).check_project):
+                if previous is not None and previous.partials is not None:
                     fold = change.delta(checker, per_unit)
                 try:
                     args = ([bundle[checker.name] for bundle in bundles],) \

@@ -38,7 +38,6 @@ from ..obs import (
 from ..report import (
     ReportTargets,
     build_report_model,
-    collect_yolo_coverage,
     configured_reporters,
 )
 from ..rules import REGISTRY, Baseline, profile_from_globs, render_rules
@@ -322,11 +321,7 @@ def _assess(args, sources, profile, baseline, tracer, cache,
             tracer=tracer, log=event_log, jobs=args.jobs,
             cache=cache, shard=args.shard, rules=profile,
             baseline=baseline, strict=args.strict,
-            task_timeout=args.task_timeout,
-            report=ReportTargets(
-                json=args.json, markdown=args.markdown,
-                html=args.html, sarif=args.sarif,
-                cobertura=args.cobertura)))
+            task_timeout=args.task_timeout))
     except ConfigError as error:
         print(f"bad pipeline configuration: {error}", file=sys.stderr)
         return 2
@@ -381,16 +376,24 @@ def _assess(args, sources, profile, baseline, tracer, cache,
             print(str(error), file=sys.stderr)
             return 2
         print(f"\nbaseline written to {args.write_baseline}")
+    # The coverage campaign runs at most once: the dashboard, Cobertura
+    # and the --experiments table all read this one object.
+    targets = ReportTargets(json=args.json, markdown=args.markdown,
+                            html=args.html, sarif=args.sarif,
+                            cobertura=args.cobertura)
+    campaign = None
+    if targets.needs_coverage() or args.experiments:
+        # Imported here: the campaign needs numpy, which a plain
+        # assessment never loads.
+        from ..dnn.minic_yolo import run_yolo_coverage
+        campaign = run_yolo_coverage()
     # Every configured output surface renders from one shared model;
     # the reporters own their (pre-bridge, pinned) announcement lines
     # and error prefixes, so --json/--markdown stay byte-identical.
-    targets = pipeline.config.report
     if targets.any():
-        coverage = (collect_yolo_coverage()
-                    if targets.needs_coverage() else None)
         model = build_report_model(
             result, sources, module_of=pipeline.config.module_of,
-            coverage=coverage, tracer=tracer,
+            coverage=campaign, tracer=tracer,
             history=store.history() if store is not None else None)
         for reporter, destination in configured_reporters(targets):
             try:
@@ -399,7 +402,7 @@ def _assess(args, sources, profile, baseline, tracer, cache,
                 print(str(error), file=sys.stderr)
                 return 2
     if args.experiments:
-        _print_experiments()
+        _print_experiments(campaign)
     # Exit 3: the assessment completed, but one or more faults were
     # contained along the way — the findings are a lower bound.  CI can
     # distinguish "clean" (0), "unusable invocation" (2), and
@@ -433,14 +436,15 @@ def _assess(args, sources, profile, baseline, tracer, cache,
     return exit_code
 
 
-def _print_experiments() -> None:
-    """The dynamic experiments (coverage + performance figures)."""
-    from ..dnn.minic_yolo import run_yolo_coverage
+def _print_experiments(campaign) -> None:
+    """The dynamic experiments: the Figure 5 table of ``campaign`` (the
+    run's :class:`~repro.coverage.report.CoverageCampaign`), then the
+    performance figures."""
     from ..perf import (compare_conv, compare_gemm, render_case_study,
                         render_conv_table, render_gemm_table,
                         run_case_study)
     print("\nFigure 5 — YOLO real-scenario coverage:")
-    print(run_yolo_coverage().render())
+    print(campaign.render())
     print("\nFigure 7 — object detection per implementation:")
     print(render_case_study(run_case_study()))
     print("\nFigure 8(a) — GEMM, CUTLASS vs cuBLAS:")

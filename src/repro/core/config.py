@@ -11,7 +11,6 @@ from ..errors import ConfigError
 from ..iso26262.asil import Asil, TARGET_ASIL
 from ..iso26262.compliance import ComplianceThresholds
 from ..obs import EventLog, Tracer
-from ..report.base import ReportTargets
 from ..rules import Baseline, RuleProfile
 from ..store.objects import ObjectStore
 
@@ -87,11 +86,6 @@ class PipelineConfig:
             feed findings and degradations but no ISO evidence keys;
             the fault-injection harness (:mod:`repro.testing.faults`)
             uses this seam.
-        report: which output surfaces to write
-            (:class:`~repro.report.base.ReportTargets`): JSON,
-            Markdown, the HTML dashboard, SARIF, Cobertura.  All
-            ``None`` (the default) writes nothing — the console
-            summary is unaffected either way.
     """
 
     target_asil: Asil = TARGET_ASIL
@@ -113,7 +107,6 @@ class PipelineConfig:
     strict: bool = False
     task_timeout: Optional[float] = None
     extra_checkers: tuple = ()
-    report: ReportTargets = field(default_factory=ReportTargets)
 
     def __post_init__(self) -> None:
         if self.executor != "process":

@@ -9,11 +9,11 @@ pre-bridge ad-hoc writer.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ..iso26262.asil import TABLE_COLUMNS
 from ..iso26262.compliance import TableAssessment
-from ..rules import REGISTRY
+from ..rules import RuleActivity, rule_activity
 from .assessment import AssessmentResult
 from .remediation import plan_remediation, render_plan
 
@@ -39,30 +39,24 @@ def _table_markdown(assessment: TableAssessment) -> List[str]:
     return lines
 
 
-def _rule_index_markdown(result: AssessmentResult) -> List[str]:
+def _rule_index_markdown(result: AssessmentResult,
+                         rules: List[RuleActivity]) -> List[str]:
     """The per-rule activity table, shown when the rules layer was used.
 
-    One row per registered rule: its effective severity under the run's
-    profile (``off`` when disabled), its ISO 26262 topic, and how many
-    findings it produced / had suppressed by deviations (plus how many
-    are new against the baseline, when one was compared).
+    One row per :class:`~repro.rules.RuleActivity`: the rule's effective
+    severity under the run's profile (``off`` when disabled), its ISO
+    26262 topic, and how many findings it produced / had suppressed by
+    deviations (plus how many are new against the baseline, when one
+    was compared).
     """
-    findings: dict = {}
-    suppressed: dict = {}
-    for report in result.reports.values():
-        for rule, count in report.count_by_rule().items():
-            findings[rule] = findings.get(rule, 0) + count
-        for finding in report.suppressed:
-            suppressed[finding.rule] = suppressed.get(finding.rule, 0) + 1
-    new_by_rule = (result.baseline.new_by_rule()
-                   if result.baseline is not None else None)
     header = "| rule | checker | severity | topic | findings | suppressed |"
     divider = "|---|---|---|---|---|---|"
-    if new_by_rule is not None:
+    if result.baseline is not None:
         header += " new |"
         divider += "---|"
     lines = ["## Rule index", "", header, divider]
-    for rule in REGISTRY:
+    for activity in rules:
+        rule = activity.rule
         if result.profile is not None \
                 and not result.profile.enabled(rule.id):
             severity = "off"
@@ -73,10 +67,9 @@ def _rule_index_markdown(result: AssessmentResult) -> List[str]:
             severity = rule.severity.name
         topic = f"{rule.table}/{rule.topic}" if rule.table else "-"
         row = (f"| {rule.id} | {rule.checker} | {severity} | {topic} | "
-               f"{findings.get(rule.id, 0)} | "
-               f"{suppressed.get(rule.id, 0)} |")
-        if new_by_rule is not None:
-            row += f" {new_by_rule.get(rule.id, 0)} |"
+               f"{activity.findings} | {activity.suppressed} |")
+        if activity.new is not None:
+            row += f" {activity.new} |"
         lines.append(row)
     lines.append("")
     return lines
@@ -108,9 +101,15 @@ def _degradations_markdown(result: AssessmentResult) -> List[str]:
 
 
 def render_markdown(result: AssessmentResult,
-                    title: str = "ISO 26262-6 adherence assessment"
-                    ) -> str:
-    """Render the whole assessment as a Markdown document."""
+                    title: str = "ISO 26262-6 adherence assessment",
+                    rules: Optional[List[RuleActivity]] = None) -> str:
+    """Render the whole assessment as a Markdown document.
+
+    ``rules`` are the rule-index rows; the report model passes its own
+    (:attr:`~repro.report.model.ReportModel.rules`), and without them
+    they are tallied from ``result`` by :func:`~repro.rules.
+    rule_activity`.
+    """
     lines: List[str] = [
         f"# {title}",
         "",
@@ -141,7 +140,9 @@ def render_markdown(result: AssessmentResult,
 
     if result.profile is not None or result.total_suppressed \
             or result.baseline is not None:
-        lines.extend(_rule_index_markdown(result))
+        lines.extend(_rule_index_markdown(
+            result, rules if rules is not None
+            else rule_activity(result.reports, result.baseline)))
 
     lines += ["## Observations", ""]
     for observation in sorted(result.observations,

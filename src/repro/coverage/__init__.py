@@ -11,7 +11,6 @@ from .probes import CoverageCollector
 from .report import (
     CoverageCampaign,
     FileCoverage,
-    build_campaign,
     summarize_collector,
 )
 from .suggest import (
@@ -50,7 +49,6 @@ __all__ = [
     "StatementCoverage",
     "TestVector",
     "VectorOutcome",
-    "build_campaign",
     "measure_branch_coverage",
     "measure_mcdc_coverage",
     "measure_statement_coverage",

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from .branch import BranchCoverage, measure_branch_coverage
 from .mcdc import McdcCoverage, measure_mcdc_coverage
@@ -80,9 +80,20 @@ def summarize_collector(collector: CoverageCollector, filename: str,
 
 @dataclass
 class CoverageCampaign:
-    """Coverage across several files — the full Figure 5 data set."""
+    """Coverage across several files — the full Figure 5 data set.
+
+    ``files`` carries the per-file percentages.  A campaign that ran the
+    files itself (:func:`~repro.dnn.minic_yolo.run_yolo_coverage`) also
+    keeps each file's raw :class:`CoverageCollector` in ``collectors``
+    (per-statement hit counts for line annotation and Cobertura export)
+    and its text in ``sources``, keyed by filename.
+    """
 
     files: List[FileCoverage]
+    collectors: Dict[str, CoverageCollector] = field(
+        default_factory=dict, compare=False, repr=False)
+    sources: Dict[str, str] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def rows(self) -> List[Dict[str, object]]:
         return [record.as_row() for record in self.files]
@@ -129,7 +140,3 @@ class CoverageCampaign:
         lines.append(footer)
         return "\n".join(lines)
 
-
-def build_campaign(records: Iterable[FileCoverage]) -> CoverageCampaign:
-    """Bundle per-file coverage records into a campaign."""
-    return CoverageCampaign(files=list(records))

@@ -20,7 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..coverage.report import CoverageCampaign, FileCoverage
+from ..coverage.report import CoverageCampaign
 from ..coverage.runner import CoverageRunner, TestVector
 
 ACTIVATIONS_SOURCE = """
@@ -696,17 +696,18 @@ def scenario_suite(filename: str, seed: int = 7) -> List[TestVector]:
     raise KeyError(f"no scenario suite for {filename!r}")
 
 
-def yolo_runners(filenames=None, seed: int = 7
-                 ) -> Dict[str, CoverageRunner]:
-    """Run the real-scenario suite over each YOLO file.
+def run_yolo_coverage(filenames=None, with_mcdc: bool = True,
+                      seed: int = 7) -> CoverageCampaign:
+    """Run the real-scenario suite over each YOLO file; Figure 5's data.
 
-    Returns the executed :class:`CoverageRunner` per filename, raw
-    collectors intact, so callers can derive campaign percentages,
-    per-line annotation, or Cobertura hit counts from one execution.
+    The one coverage campaign: ``--experiments``, the HTML dashboard and
+    the Cobertura exporter all read its result.  Besides the per-file
+    percentages (the paper's uncalled-function exclusion applied), the
+    campaign keeps each executed file's raw collector and source text,
+    so line annotation and true hit counts come from the same execution.
     """
-    filenames = list(filenames or YOLO_FILES)
-    runners: Dict[str, CoverageRunner] = {}
-    for filename in filenames:
+    campaign = CoverageCampaign(files=[])
+    for filename in filenames or YOLO_FILES:
         runner = CoverageRunner(YOLO_FILES[filename], filename)
         outcomes = runner.run_suite(scenario_suite(filename, seed))
         failures = [outcome for outcome in outcomes if not outcome.passed]
@@ -715,14 +716,8 @@ def yolo_runners(filenames=None, seed: int = 7
                 f"{outcome.vector.label()}: {outcome.error}"
                 for outcome in failures)
             raise RuntimeError(f"scenario failures in {filename}: {details}")
-        runners[filename] = runner
-    return runners
-
-
-def run_yolo_coverage(filenames=None, with_mcdc: bool = True,
-                      seed: int = 7) -> CoverageCampaign:
-    """Run the real-scenario suite over each YOLO file; Figure 5's data."""
-    records: List[FileCoverage] = [
-        runner.coverage(with_mcdc=with_mcdc, exclude_uncalled=True)
-        for runner in yolo_runners(filenames, seed).values()]
-    return CoverageCampaign(files=records)
+        campaign.files.append(runner.coverage(with_mcdc=with_mcdc,
+                                              exclude_uncalled=True))
+        campaign.collectors[filename] = runner.collector
+        campaign.sources[filename] = YOLO_FILES[filename]
+    return campaign

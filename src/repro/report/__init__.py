@@ -4,8 +4,8 @@ Findings, verdicts, coverage, and trend history used to be rendered by
 ad-hoc writers scattered through the CLI.  This package separates the
 *what* from the *how* (mini-coverage's Bridge pattern): a single
 :class:`~repro.report.model.ReportModel` is assembled once from the
-assessment result, the rules registry, coverage data, profile hotspots,
-and the run history — and every reporter renders that model:
+assessment result, the rules registry, the coverage campaign, profile
+hotspots, and the run history — and every reporter renders that model:
 
 * :class:`~repro.report.base.JsonReporter` /
   :class:`~repro.report.base.MarkdownReporter` — the pre-bridge
@@ -29,20 +29,17 @@ from .base import (
 from .cobertura import CoberturaReporter, cobertura_xml
 from .html import HtmlReporter, write_dashboard
 from .model import (
-    CoverageData,
     ModuleRollup,
     ReportModel,
     RuleActivity,
     TopicActivity,
     TrendData,
     build_report_model,
-    collect_yolo_coverage,
 )
 from .sarif import SarifReporter, sarif_document
 
 __all__ = [
     "CoberturaReporter",
-    "CoverageData",
     "HtmlReporter",
     "JsonReporter",
     "MarkdownReporter",
@@ -56,7 +53,6 @@ __all__ = [
     "TrendData",
     "build_report_model",
     "cobertura_xml",
-    "collect_yolo_coverage",
     "configured_reporters",
     "sarif_document",
     "write_dashboard",

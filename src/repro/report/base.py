@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from ..core.markdown import render_markdown
 from ..errors import ReportError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,12 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class ReportTargets:
-    """Where each configured reporter writes; ``None`` disables it.
-
-    Carried on :attr:`~repro.core.config.PipelineConfig.report` so a
-    run's full output fan-out is part of its configuration, not CLI
-    plumbing.
-    """
+    """Where each configured reporter writes; ``None`` disables it."""
 
     json: Optional[str] = None
     markdown: Optional[str] = None
@@ -93,14 +89,14 @@ class JsonReporter(Reporter):
 
 class MarkdownReporter(Reporter):
     """The ``--markdown`` document — byte-identical to the pre-bridge
-    :func:`~repro.core.markdown.render_markdown` writer."""
+    :func:`~repro.core.markdown.render_markdown` writer; its rule index
+    renders the model's :class:`~repro.rules.RuleActivity` rows."""
 
     format = "markdown"
     error_label = "Markdown report"
 
     def render(self, model: "ReportModel") -> str:
-        from ..core.markdown import render_markdown
-        return render_markdown(model.result)
+        return render_markdown(model.result, rules=model.rules)
 
     def announce(self, destination: str) -> str:
         return f"Markdown written to {destination}"

@@ -23,12 +23,13 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..coverage.instrument import build_function_maps
 from ..coverage.probes import CoverageCollector
+from ..coverage.report import CoverageCampaign
 from ..errors import ReportError
 from ..lang.minic import ast
 from .base import Reporter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .model import CoverageData, ReportModel
+    from .model import ReportModel
 
 #: The DTD version the document claims (the schema Cobertura 2.x emits).
 COBERTURA_VERSION = "2.1.1"
@@ -131,8 +132,8 @@ def _class_element(filename: str, collector: CoverageCollector
                      branches_covered, branches_valid)
 
 
-def cobertura_xml(coverage: "CoverageData", timestamp: int = 0) -> str:
-    """Serialize one coverage data set as a Cobertura XML document."""
+def cobertura_xml(coverage: CoverageCampaign, timestamp: int = 0) -> str:
+    """Serialize one campaign's collectors as a Cobertura XML document."""
     totals = [0, 0, 0, 0]
     packages: Dict[str, List[ElementTree.Element]] = {}
     package_totals: Dict[str, List[int]] = {}
@@ -178,7 +179,7 @@ def cobertura_xml(coverage: "CoverageData", timestamp: int = 0) -> str:
 
 
 class CoberturaReporter(Reporter):
-    """Writes :func:`cobertura_xml` for the model's coverage data."""
+    """Writes :func:`cobertura_xml` for the model's coverage campaign."""
 
     format = "cobertura"
     error_label = "Cobertura XML"

@@ -240,11 +240,10 @@ def _modules_section(model: "ReportModel") -> str:
 
 
 def _coverage_section(model: "ReportModel") -> str:
-    coverage = model.coverage
-    if coverage is None or not coverage.campaign.files:
+    campaign = model.coverage
+    if campaign is None or not campaign.files:
         return ("<h2>Coverage by type</h2><p class=\"empty\">no "
                 "coverage data collected for this run</p>")
-    campaign = coverage.campaign
     labels = [record.filename for record in campaign.files]
     has_mcdc = any(record.mcdc is not None for record in campaign.files)
     series = [
@@ -468,7 +467,7 @@ def render_module_page(model: "ReportModel",
 
 def render_coverage_page(model: "ReportModel", filename: str) -> str:
     coverage = model.coverage
-    record = next((entry for entry in coverage.campaign.files
+    record = next((entry for entry in coverage.files
                    if entry.filename == filename), None)
     collector = coverage.collectors.get(filename)
     source = coverage.sources.get(filename, "")
@@ -513,7 +512,7 @@ def write_dashboard(model: "ReportModel", directory: str) -> List[str]:
         emit(os.path.join("modules", f"{_slug(rollup.name)}.html"),
              render_module_page(model, rollup))
     if model.coverage is not None:
-        for record in model.coverage.campaign.files:
+        for record in model.coverage.files:
             emit(os.path.join("coverage",
                               f"{_slug(record.filename)}.html"),
                  render_coverage_page(model, record.filename))

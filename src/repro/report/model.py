@@ -9,9 +9,9 @@ Reporters never reach back into the pipeline; they consume a
   paper's findings-per-guideline-topic figure),
 * the module metrics joined with per-module finding counts (the
   violation-density figure),
-* optional coverage data (Figure 5/6: per-file statement / branch /
-  MC-DC percentages plus raw collectors for line annotation and
-  Cobertura export),
+* the optional coverage campaign (Figure 5/6: per-file statement /
+  branch / MC-DC percentages plus raw collectors for line annotation
+  and Cobertura export),
 * optional profile hotspots from the run's tracer, and
 * optional trend series read back from the run history (per-rule
   finding counts over the trailing comparable-configuration window).
@@ -24,29 +24,18 @@ the numbers by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
+from .. import __version__
 from ..checkers.architecture import module_from_path
-from ..coverage.probes import CoverageCollector
+from ..core.assessment import AssessmentResult
 from ..coverage.report import CoverageCampaign
-from ..rules import REGISTRY, Rule, RuleRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids core cycle
-    from ..core.assessment import AssessmentResult
+from ..obs.profile import hotspots as profile_hotspots
+from ..obs.trends import comparable_window
+from ..rules import RuleActivity, RuleRegistry, rule_activity
 
 #: Severity display order: most blocking first.
 SEVERITY_ORDER = ("CRITICAL", "MAJOR", "MINOR", "INFO")
-
-
-@dataclass(frozen=True)
-class RuleActivity:
-    """One registered rule's activity in this run."""
-
-    rule: Rule
-    findings: int = 0
-    suppressed: int = 0
-    #: New findings vs the baseline; ``None`` when no baseline was given.
-    new: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -111,32 +100,17 @@ class TrendData:
 
 
 @dataclass
-class CoverageData:
-    """The coverage side of the report: campaign plus raw observations.
-
-    The campaign carries the Figure 5 percentages (with the paper's
-    uncalled-function exclusion applied); the collectors carry raw
-    per-statement hit counts for line annotation and Cobertura export;
-    ``sources`` maps each covered filename to its text.
-    """
-
-    campaign: CoverageCampaign
-    collectors: Dict[str, CoverageCollector] = field(default_factory=dict)
-    sources: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class ReportModel:
     """The assembled, reporter-independent view of one assessment."""
 
-    result: "AssessmentResult"
+    result: AssessmentResult
     sources: Mapping[str, str]
     rules: List[RuleActivity]
     topics: List[TopicActivity]
     modules: List[ModuleRollup]
     severity_mix: Dict[str, int]
     module_of: Callable[[str], str] = module_from_path
-    coverage: Optional[CoverageData] = None
+    coverage: Optional[CoverageCampaign] = None
     hotspots: Dict[str, List[Dict]] = field(default_factory=dict)
     trends: Optional[TrendData] = None
     tool_version: str = ""
@@ -174,28 +148,6 @@ class ReportModel:
 
 # ----------------------------------------------------------------------
 # assembly
-
-
-def _rule_activity(result, registry: RuleRegistry) -> List[RuleActivity]:
-    findings: Dict[str, int] = {}
-    suppressed: Dict[str, int] = {}
-    for report in result.reports.values():
-        for rule, count in report.count_by_rule().items():
-            findings[rule] = findings.get(rule, 0) + count
-        for finding in report.suppressed:
-            suppressed[finding.rule] = suppressed.get(finding.rule, 0) + 1
-    new_by_rule = (result.baseline.new_by_rule()
-                   if result.baseline is not None else None)
-    activity = []
-    for rule in registry:
-        activity.append(RuleActivity(
-            rule=rule,
-            findings=findings.get(rule.id, 0),
-            suppressed=suppressed.get(rule.id, 0),
-            new=(new_by_rule.get(rule.id, 0)
-                 if new_by_rule is not None else None),
-        ))
-    return activity
 
 
 def _topic_activity(rules: List[RuleActivity]) -> List[TopicActivity]:
@@ -268,7 +220,6 @@ def _trend_data(history, last: int) -> Optional[TrendData]:
         return None
     if not records:
         return None
-    from ..obs.trends import comparable_window
     window = comparable_window(records)
     rules = sorted({rule for record in window
                     for rule in record.findings_by_rule})
@@ -286,38 +237,10 @@ def _trend_data(history, last: int) -> Optional[TrendData]:
     )
 
 
-def collect_yolo_coverage(with_mcdc: bool = True,
-                          seed: int = 7) -> CoverageData:
-    """The Figure 5 coverage experiment, kept at full fidelity.
-
-    Runs the real-scenario suite over every YOLO MiniC file (exactly
-    what ``--experiments`` measures) and keeps the raw collectors and
-    sources alongside the campaign percentages, so the dashboard can
-    annotate covered sources line by line and the Cobertura exporter
-    can emit true hit counts.
-    """
-    from ..dnn.minic_yolo import YOLO_FILES, yolo_runners
-    runners = yolo_runners(seed=seed)
-    campaign = CoverageCampaign(files=[
-        runner.coverage(with_mcdc=with_mcdc, exclude_uncalled=True)
-        for runner in runners.values()])
-    return CoverageData(
-        campaign=campaign,
-        collectors={filename: runner.collector
-                    for filename, runner in runners.items()},
-        sources={filename: YOLO_FILES[filename] for filename in runners},
-    )
-
-
-def _tool_version() -> str:
-    from .. import __version__
-    return __version__
-
-
 def build_report_model(result, sources: Mapping[str, str], *,
                        registry: Optional[RuleRegistry] = None,
                        module_of: Callable[[str], str] = module_from_path,
-                       coverage: Optional[CoverageData] = None,
+                       coverage: Optional[CoverageCampaign] = None,
                        tracer=None,
                        history=None,
                        trend_last: int = 20) -> ReportModel:
@@ -329,8 +252,10 @@ def build_report_model(result, sources: Mapping[str, str], *,
             sources on the drilldown pages render from it).
         registry: rule registry (defaults to the process-wide one).
         module_of: path -> module mapper; must match the pipeline's.
-        coverage: optional :class:`CoverageData` for the coverage
-            charts and Cobertura export.
+        coverage: optional :class:`~repro.coverage.report.
+            CoverageCampaign` from :func:`~repro.dnn.minic_yolo.
+            run_yolo_coverage` (collectors and sources included) for the
+            coverage charts, annotated pages and Cobertura export.
         tracer: the run's tracer, for profile hotspots (skipped when
             absent or disabled).
         history: optional :class:`~repro.store.history.RunHistory` to
@@ -338,11 +263,9 @@ def build_report_model(result, sources: Mapping[str, str], *,
             simply yields no trends.
         trend_last: trend look-back window, in runs.
     """
-    registry = registry if registry is not None else REGISTRY
-    rules = _rule_activity(result, registry)
+    rules = rule_activity(result.reports, result.baseline, registry)
     hotspots: Dict[str, List[Dict]] = {}
     if tracer is not None and getattr(tracer, "enabled", False):
-        from ..obs.profile import hotspots as profile_hotspots
         hotspots = profile_hotspots(tracer, limit=10)
     return ReportModel(
         result=result,
@@ -355,5 +278,5 @@ def build_report_model(result, sources: Mapping[str, str], *,
         coverage=coverage,
         hotspots=hotspots,
         trends=_trend_data(history, trend_last),
-        tool_version=_tool_version(),
+        tool_version=__version__,
     )

@@ -28,10 +28,12 @@ from .registry import (
     MISSING_RATIONALE,
     REGISTRY,
     Rule,
+    RuleActivity,
     RuleRegistry,
     Severity,
     UNKNOWN_RULE,
     render_rules,
+    rule_activity,
 )
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "MISSING_RATIONALE",
     "REGISTRY",
     "Rule",
+    "RuleActivity",
     "RuleProfile",
     "RuleRegistry",
     "Severity",
@@ -54,5 +57,6 @@ __all__ = [
     "finding_key",
     "profile_from_globs",
     "render_rules",
+    "rule_activity",
     "scan_deviations",
 ]

@@ -11,16 +11,22 @@ rules to be data, not string literals buried in checkers: one
 The profile (:mod:`repro.rules.profile`), deviation
 (:mod:`repro.rules.deviations`) and baseline (:mod:`repro.rules.baseline`)
 layers all resolve against these records; ``repro-assess --list-rules``
-renders them via :func:`render_rules`.
+renders them via :func:`render_rules`, and :func:`rule_activity`
+tallies one run's findings per rule for the report surfaces.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, \
+    Optional
 
 from ..errors import RuleError
+from .baseline import BaselineComparison
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..checkers.base import CheckerReport
 
 
 class Severity(enum.IntEnum):
@@ -146,6 +152,41 @@ INTERNAL_RULES = REGISTRY.register_many("internal", (
          "A checker crashed; its findings for the run are incomplete",
          Severity.CRITICAL),
 ))
+
+
+@dataclass(frozen=True)
+class RuleActivity:
+    """One registered rule's activity in one run."""
+
+    rule: Rule
+    findings: int = 0
+    suppressed: int = 0
+    #: New findings vs the baseline; ``None`` when no baseline was given.
+    new: Optional[int] = None
+
+
+def rule_activity(reports: Mapping[str, "CheckerReport"],
+                  baseline: Optional[BaselineComparison] = None,
+                  registry: Optional[RuleRegistry] = None
+                  ) -> List[RuleActivity]:
+    """Per-rule active, suppressed and (with ``baseline``) new finding
+    counts over a run's ``{checker: report}`` mapping: one row per rule
+    of ``registry``, in registry order."""
+    registry = registry if registry is not None else REGISTRY
+    findings: Dict[str, int] = {}
+    suppressed: Dict[str, int] = {}
+    for report in reports.values():
+        for rule, count in report.count_by_rule().items():
+            findings[rule] = findings.get(rule, 0) + count
+        for finding in report.suppressed:
+            suppressed[finding.rule] = suppressed.get(finding.rule, 0) + 1
+    new_by_rule = baseline.new_by_rule() if baseline is not None else None
+    return [RuleActivity(rule=rule,
+                         findings=findings.get(rule.id, 0),
+                         suppressed=suppressed.get(rule.id, 0),
+                         new=(new_by_rule.get(rule.id, 0)
+                              if new_by_rule is not None else None))
+            for rule in registry]
 
 
 def render_rules(registry: Optional[RuleRegistry] = None) -> str:

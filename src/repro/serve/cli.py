@@ -118,6 +118,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"--iterations must be >= 0, got {args.iterations}",
               file=sys.stderr)
         return 2
+    if args.jobs < 0:
+        print(f"--jobs must be >= 0, got {args.jobs}", file=sys.stderr)
+        return 2
     if args.task_timeout is not None and args.task_timeout <= 0:
         print(f"--task-timeout must be positive, got "
               f"{args.task_timeout}", file=sys.stderr)

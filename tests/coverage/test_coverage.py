@@ -3,10 +3,10 @@
 import pytest
 
 from repro.coverage import (
+    CoverageCampaign,
     CoverageCollector,
     CoverageRunner,
     TestVector,
-    build_campaign,
     measure_branch_coverage,
     measure_mcdc_coverage,
     measure_statement_coverage,
@@ -277,8 +277,8 @@ class TestCampaign:
         runner_a.run_suite([TestVector("f", (1,)), TestVector("f", (0,))])
         runner_b = CoverageRunner(SIMPLE, "b.c")
         runner_b.run_vector(TestVector("f", (1,)))
-        campaign = build_campaign([runner_a.coverage(),
-                                   runner_b.coverage()])
+        campaign = CoverageCampaign([runner_a.coverage(),
+                                     runner_b.coverage()])
         assert campaign.average("statement") == pytest.approx(
             (100.0 + runner_b.coverage().statement_percent) / 2)
         assert campaign.minimum("branch") == 50.0
@@ -286,6 +286,6 @@ class TestCampaign:
     def test_render_contains_rows(self):
         runner = CoverageRunner(SIMPLE, "a.c")
         runner.run_vector(TestVector("f", (1,)))
-        rendered = build_campaign([runner.coverage()]).render()
+        rendered = CoverageCampaign([runner.coverage()]).render()
         assert "a.c" in rendered
         assert "AVERAGE" in rendered

@@ -119,12 +119,12 @@ class TestReportRendering:
         assert "mcdc" not in row
 
     def test_campaign_render_without_mcdc(self):
-        from repro.coverage import CoverageRunner, TestVector, \
-            build_campaign
+        from repro.coverage import CoverageCampaign, CoverageRunner, \
+            TestVector
         runner = CoverageRunner(
             "int f(int a) { if (a) { return 1; } return 0; }", "f.c")
         runner.run_vector(TestVector("f", (1,)))
-        campaign = build_campaign([runner.coverage(with_mcdc=False)])
+        campaign = CoverageCampaign([runner.coverage(with_mcdc=False)])
         rendered = campaign.render()
         assert "mcdc" not in rendered
         assert "AVERAGE" in rendered

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import assess_sources
-from repro.report import build_report_model, collect_yolo_coverage
+from repro.dnn.minic_yolo import run_yolo_coverage
+from repro.report import build_report_model
 
 #: A tree whose assessment carries both active and deviation-suppressed
 #: findings — the suppression-mapping cases need both kinds.
@@ -34,7 +35,7 @@ def deviation_model():
 
 @pytest.fixture(scope="session")
 def yolo_coverage():
-    return collect_yolo_coverage()
+    return run_yolo_coverage()
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from repro.core import cli
 from repro.core.cli import main
 from repro.core.markdown import render_markdown
+from repro.coverage import CoverageRunner
+from repro.dnn.minic_yolo import YOLO_FILES
+from repro.report import cobertura_xml
 
 CORPUS_ARGS = ["--corpus", "0.04"]
 
@@ -103,18 +107,45 @@ class TestExitTwoValidation:
 
 
 class TestConfigWiring:
-    def test_targets_reach_pipeline_config(self):
-        from repro.core import PipelineConfig
-        from repro.report import ReportTargets
-        config = PipelineConfig(report=ReportTargets(sarif="x.sarif"))
-        assert config.report.any()
-        assert not config.report.needs_coverage()
-        assert PipelineConfig().report == ReportTargets()
-        assert not PipelineConfig().report.any()
-
     def test_needs_coverage_only_for_html_and_cobertura(self):
         from repro.report import ReportTargets
         assert ReportTargets(html="d").needs_coverage()
         assert ReportTargets(cobertura="f").needs_coverage()
         assert not ReportTargets(json="f", markdown="m",
                                  sarif="s").needs_coverage()
+
+
+class TestOneCampaign:
+    def test_campaign_runs_once_and_every_surface_reads_it(
+            self, tmp_path, capsys, monkeypatch):
+        suites = []
+        run_suite = CoverageRunner.run_suite
+
+        def counting_run_suite(runner, vectors):
+            suites.append(runner.filename)
+            return run_suite(runner, vectors)
+
+        monkeypatch.setattr(CoverageRunner, "run_suite", counting_run_suite)
+        models = []
+        build_report_model = cli.build_report_model
+
+        def capturing_build(*args, **kwargs):
+            models.append(build_report_model(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "build_report_model", capturing_build)
+        dashboard, xml = tmp_path / "dash", tmp_path / "cov.xml"
+        code, out, _ = run_cli(capsys, "--html", str(dashboard),
+                               "--cobertura", str(xml), "--experiments")
+        assert code == 0
+        assert sorted(suites) == sorted(YOLO_FILES)
+        campaign = models[0].coverage
+        assert xml.read_text() == cobertura_xml(campaign)
+        index = (dashboard / "index.html").read_text()
+        assert f"{campaign.average('statement'):.1f}%" in index
+        figure5 = out.split("Figure 5 — YOLO real-scenario coverage:\n")[1]
+        printed = figure5.split("\n\n")[0].splitlines()
+        assert printed == campaign.render().splitlines()
+        assert [line.split()[0] for line in printed[2:-2]] \
+            == [row["file"] for row in campaign.rows()]
+        assert printed[-1].startswith("AVERAGE")

@@ -28,12 +28,11 @@ class TestSiteStructure:
         for rollup in coverage_model.modules:
             assert (directory / "modules"
                     / f"{_slug(rollup.name)}.html").exists()
-        for record in coverage_model.coverage.campaign.files:
+        for record in coverage_model.coverage.files:
             assert (directory / "coverage"
                     / f"{_slug(record.filename)}.html").exists()
         assert len(pages) == (1 + len(coverage_model.modules)
-                              + len(coverage_model.coverage
-                                    .campaign.files))
+                              + len(coverage_model.coverage.files))
 
     def test_every_page_is_self_contained(self, dashboard):
         directory, pages = dashboard
@@ -106,7 +105,7 @@ class TestCoveragePages:
     def test_percent_tiles_match_campaign(self, dashboard,
                                           coverage_model):
         directory, _ = dashboard
-        record = next(r for r in coverage_model.coverage.campaign.files
+        record = next(r for r in coverage_model.coverage.files
                       if r.filename == "gemm.c")
         page = (directory / "coverage" / "gemm.c.html").read_text()
         assert f"{record.statement_percent:.1f}%" in page

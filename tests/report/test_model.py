@@ -106,14 +106,6 @@ class TestTrends:
 
 class TestCoverage:
     def test_collectors_and_sources_align(self, yolo_coverage):
-        filenames = [record.filename
-                     for record in yolo_coverage.campaign.files]
+        filenames = [record.filename for record in yolo_coverage.files]
         assert sorted(yolo_coverage.collectors) == sorted(filenames)
         assert sorted(yolo_coverage.sources) == sorted(filenames)
-
-    def test_campaign_matches_experiment(self, yolo_coverage):
-        from repro.dnn.minic_yolo import run_yolo_coverage
-        direct = run_yolo_coverage()
-        assert [record.as_row() for record in direct.files] \
-            == [record.as_row()
-                for record in yolo_coverage.campaign.files]

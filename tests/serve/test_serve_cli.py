@@ -38,6 +38,15 @@ class TestArgumentValidation:
     def test_rejects_nonpositive_numbers(self, tree, capsys, flags):
         assert main([tree, *flags]) == 2
 
+    def test_negative_jobs_rejected_at_startup(self, tree, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO('{"verb":"assess","id":1}\n'))
+        assert main([tree, "--jobs", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--jobs must be >= 0, got -1\n"
+
     def test_bad_tcp_endpoint(self, tree, capsys):
         assert main([tree, "--tcp", "9026"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err

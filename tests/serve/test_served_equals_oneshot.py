@@ -14,6 +14,7 @@ from typing import Dict, List, Tuple
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.checkers.base import Checker, CheckerReport, Finding
 from repro.core import AssessmentPipeline, PipelineConfig
 from repro.corpus.writer import read_tree
 from repro.rules import RuleProfile, Severity
@@ -161,9 +162,9 @@ class Tree:
         self._write(path)
 
 
-def oneshot(root: str, profile):
-    return AssessmentPipeline(PipelineConfig(rules=profile)).run(
-        read_tree(root))
+def oneshot(root: str, profile, extra_checkers=()):
+    return AssessmentPipeline(PipelineConfig(
+        rules=profile, extra_checkers=extra_checkers)).run(read_tree(root))
 
 
 def assert_reply_equal(reply, root: str, expected, profile):
@@ -253,5 +254,43 @@ def test_the_seed_tree_has_a_cycle_and_edits_refold():
         stats = server.handle({"verb": "stats"})
         assert stats["project_parts"]["reused"] > 0
         assert stats["project_parts"]["recomputed"] > 0
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+class _FunctionCensus(Checker):
+    """A project-level checker with the plain ``check_project(units)``
+    signature: it sets no partials, so it is never handed ``fold=``."""
+
+    name = "function_census"
+
+    def check_project(self, units):
+        report = CheckerReport(checker=self.name)
+        units = list(units)
+        for unit in units:
+            report.findings.append(Finding(
+                rule="test.census",
+                message=f"{len(unit.functions)} function(s)",
+                filename=unit.filename))
+        report.stats["files"] = len(units)
+        return report
+
+
+def test_project_checker_without_fold_refolds_across_an_edit():
+    scratch = tempfile.mkdtemp()
+    try:
+        tree = Tree(os.path.join(scratch, "tree"))
+        census = (_FunctionCensus(),)
+        server = AssessmentServer(tree.root, extra_checkers=census)
+        server.assess(tree.root)
+        tree.apply("add_function", 0)
+        reply = server.assess(tree.root)
+        served = server.results[tree.root]
+        expected = oneshot(tree.root, None, census)
+        assert not reply["degraded"]
+        assert not served.degraded
+        assert served.reports["function_census"].partials is None
+        assert "3 function(s)" in str(reply["findings"]["function_census"])
+        assert_parts_equal(served, expected)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
