@@ -97,9 +97,6 @@ class MemoryCache(ObjectStore):
                 ) -> Iterator[Tuple[str, str]]:
         return iter(())  # no filesystem entries to merge or GC
 
-    def absorb(self, area_root: str) -> int:
-        return 0
-
     def retain(self, keys: Set[str]) -> int:
         """Keep only the entries under ``keys``; drop every other one.
 

@@ -24,7 +24,9 @@ analysis code.  The full
 returns only the token-free :class:`ParseOutcome` (the file's compact
 :class:`~repro.lang.summary.UnitSummary`, which is also what the
 result cache keeps) and the per-unit checker reports, so no unit ever
-crosses a process boundary or outlives its own sweep.
+crosses a process boundary or outlives its own sweep.  Tasks do no
+store I/O: the parent is the only process that reads or writes the
+result cache, pooled or serial.
 
 Each task runs under its own :class:`~repro.obs.Tracer`; the resulting
 span forest and metrics are grafted back into the parent trace by
@@ -64,7 +66,6 @@ from ..errors import ConfigError, SourceError
 from ..lang.cppmodel import TranslationUnit, parse_translation_unit
 from ..lang.summary import UnitSummary, summarize_unit
 from ..obs import NULL_LOG, NULL_TRACER, BufferLog, EventLog, Span, Tracer
-from ..store.objects import ObjectStore
 
 #: One file's per-unit checker reports, ``{checker name: report}``.
 Bundle = Dict[str, CheckerReport]
@@ -212,7 +213,11 @@ class ParseOutcome:
 @dataclass
 class ParseTask:
     """One worker's share of the per-file stage: every item is parsed,
-    summarized and — when it parses — swept by ``checkers``."""
+    summarized and — when it parses — swept by ``checkers``.
+
+    A task carries sources, never cache keys or store paths: the parent
+    looks up and writes every cache entry itself.
+    """
 
     items: List[Tuple[str, str]]
     worker: int
@@ -224,17 +229,6 @@ class ParseTask:
     strict: bool = False
     #: Record structured events into a shipped-back worker buffer.
     logged: bool = False
-    #: Store-backed fan-out: with both set, the worker persists each
-    #: non-crashed result itself, into a private object area the parent
-    #: absorbs on join (no second pickling in the parent, and a killed
-    #: run leaves mergeable shards behind).  ``cache_keys`` holds the
-    #: parse keys — ``None`` where the parse entry is already cached
-    #: and the item is re-parsed only for its sweep — and
-    #: ``check_keys`` the checker-bundle keys, both aligned with
-    #: ``items``.
-    cache_keys: Optional[List[Optional[str]]] = None
-    check_keys: Optional[List[str]] = None
-    shard_dir: Optional[str] = None
 
 
 def parse_one(path: str, source: str, strict: bool = False
@@ -258,28 +252,11 @@ def parse_one(path: str, source: str, strict: bool = False
     return ParseOutcome(path, summary=summarize_unit(unit)), unit
 
 
-def _worker_context(task) -> Tuple[Tracer, EventLog,
-                                   Optional[ObjectStore]]:
-    """A task's own tracer, event buffer and shard area (if armed)."""
+def _worker_context(task) -> Tuple[Tracer, EventLog]:
+    """A task's own tracer and event buffer."""
     tracer = Tracer() if task.traced else NULL_TRACER
     log = BufferLog(worker=task.worker) if task.logged else NULL_LOG
-    area = (ObjectStore(task.shard_dir)
-            if task.shard_dir is not None and task.cache_keys is not None
-            else None)
-    return tracer, log, area
-
-
-def _sweep_one(task, unit: TranslationUnit, log: EventLog,
-               area: Optional[ObjectStore], keys: Optional[List[str]],
-               index: int) -> Bundle:
-    """One unit's per-unit reports from a single fused sweep, persisted
-    under ``keys[index]`` when the task's shard area is armed."""
-    bundle = fused_unit_bundle(task.checkers, unit, strict=task.strict,
-                               log=log)
-    # Crashed bundles are never cached (see bundle_has_crash).
-    if area is not None and not bundle_has_crash(bundle):
-        area.put(keys[index], bundle)
-    return bundle
+    return tracer, log
 
 
 def run_parse_task(task: ParseTask
@@ -291,18 +268,19 @@ def run_parse_task(task: ParseTask
     Per-file :class:`SourceError`\\ s (and, unless strict, parser and
     checker crashes) are contained, so a poisoned file never kills the
     pool.  Each full unit is dropped as soon as its sweep is done: only
-    token-free results leave the task.
+    token-free results leave the task.  The task is a pure function of
+    its sources and checkers: it opens no store and writes no file.
 
     Returns ``(outcomes, {path: {checker name: per-unit report}},
     worker tracer or None, worker events or None)``; the parent grafts
     the last two back into its own trace and event log.
     """
-    tracer, log, area = _worker_context(task)
+    tracer, log = _worker_context(task)
     timings = tracer.metrics.histogram("pipeline.parse_seconds")
     outcomes: List[ParseOutcome] = []
     bundles: Dict[str, Bundle] = {}
     with tracer.span("parse_worker", worker=task.worker) as worker_span:
-        for index, (path, source) in enumerate(task.items):
+        for path, source in task.items:
             with tracer.span("parse_file", path=path) as span:
                 outcome, unit = parse_one(path, source, strict=task.strict)
                 if unit is None:
@@ -310,14 +288,9 @@ def run_parse_task(task: ParseTask
             if tracer.enabled:
                 timings.observe(span.duration)
             outcomes.append(outcome)
-            # Contained parser crashes are never cached: the fault may
-            # be transient, and strict runs must reproduce it.
-            if (area is not None and outcome.crash is None
-                    and task.cache_keys[index] is not None):
-                area.put(task.cache_keys[index], outcome)
             if unit is not None:
-                bundles[path] = _sweep_one(task, unit, log, area,
-                                           task.check_keys, index)
+                bundles[path] = fused_unit_bundle(
+                    task.checkers, unit, strict=task.strict, log=log)
             unit = None  # drop the full unit before the next parse
         failures = len(outcomes) - len(bundles)
         worker_span.set("files", len(task.items))
@@ -335,7 +308,7 @@ def run_parse_task(task: ParseTask
 class CheckTask:
     """A sweep-only task over already-parsed units, for callers that
     hold full units themselves; the pipeline's one task is
-    :class:`ParseTask`.  ``cache_keys`` aligns with ``units``.
+    :class:`ParseTask`.
     """
 
     checkers: List[Checker]
@@ -344,8 +317,6 @@ class CheckTask:
     traced: bool = False
     strict: bool = False
     logged: bool = False
-    cache_keys: Optional[List[str]] = None
-    shard_dir: Optional[str] = None
 
 
 def run_check_task(task: CheckTask
@@ -353,12 +324,12 @@ def run_check_task(task: CheckTask
                               Optional[Tracer], Optional[List[Dict]]]:
     """Sweep one chunk of units: ``({path: {checker name: per-unit
     report}}, worker tracer or None, worker events or None)``."""
-    tracer, log, area = _worker_context(task)
+    tracer, log = _worker_context(task)
     bundles: Dict[str, Bundle] = {}
     with tracer.span("checker_worker", worker=task.worker) as span:
-        for index, unit in enumerate(task.units):
-            bundles[unit.filename] = _sweep_one(task, unit, log, area,
-                                                task.cache_keys, index)
+        for unit in task.units:
+            bundles[unit.filename] = fused_unit_bundle(
+                task.checkers, unit, strict=task.strict, log=log)
         span.set("units", len(task.units))
         span.set("checkers", len(task.checkers))
         log.debug("worker.check", units=len(task.units),

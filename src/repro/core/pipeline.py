@@ -15,7 +15,9 @@ per-unit checkers — is one task of the execution engine in
 a pool of worker processes when :attr:`PipelineConfig.jobs` > 1.  With a
 :attr:`PipelineConfig.cache` configured, both cache entries of every
 file are looked up before dispatch, and only the files they do not
-settle are handed to the one fan-out.  Either way the produced
+settle are handed to the one fan-out.  The parent is the store's only
+reader and writer: a task gets sources and returns results, and the
+parent caches them, pooled or serial.  Either way the produced
 :class:`AssessmentResult` is identical to a serial, cold-cache run:
 chunks are cut from the sorted path list and merged back in that
 order, and only checkers whose project report is a pure per-unit merge
@@ -54,8 +56,6 @@ reader.
 from __future__ import annotations
 
 import gc
-import os
-import shutil
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
                     Optional, Tuple)
 
@@ -90,7 +90,6 @@ from ..lang.cppmodel import parse_translation_unit  # noqa: F401
 from ..lang.summary import UnitSummary
 from ..metrics.report import ModuleMetrics, measure_module
 from ..obs import NULL_LOG, NULL_TRACER, EventLog, Span, Tracer
-from ..store.layout import OBJECTS_DIRNAME, default_shard_name
 from .assessment import AssessmentResult
 from .cache import CACHE_MISS, CHECK_TAG, PARSE_TAG
 from .config import PipelineConfig
@@ -569,9 +568,8 @@ class AssessmentPipeline:
 
         A parse-missed file's checker entry is looked up only now that
         the file is known to parse; a hit there wins over the task's
-        bundle.  Results are cached by the parent, or — store-backed
-        and pooled — by the tasks themselves (see
-        :meth:`_worker_shards`).
+        bundle.  The parent caches every result, pooled or serial: the
+        tasks themselves never touch the store.
         """
         if not paths:
             return
@@ -584,89 +582,36 @@ class AssessmentPipeline:
                       traced=tracer.enabled, strict=self.config.strict,
                       logged=self.log.enabled)
             for index, chunk in enumerate(chunk_evenly(paths, self.jobs))]
-        shard_dirs = self._worker_shards(tasks, parse_keys, check_keys)
-        writes = cache is not None and not shard_dirs
-        # Absorb-or-remove the worker shard areas even when the pool is
-        # torn down mid-flight (KeyboardInterrupt, SIGTERM): whatever
-        # the workers already persisted folds back into the parent's
-        # write area instead of leaking shard-<host>-<pid>-w* dirs.
-        # The checker lookups below precede the absorb, so they never
-        # see what this run's workers wrote.
-        try:
-            for (chunk_outcomes, chunk_bundles, worker_tracer,
-                 worker_events) in run_tasks(
-                    run_parse_task, tasks, jobs=self.jobs,
-                    # Only a fault-counter label, kept because the
-                    # benchmark harness sizes pool IPC by it.
-                    executor=self.config.executor,
-                    timeout=self.config.task_timeout,
-                    metrics=tracer.metrics, log=self.log):
-                graft_worker_trace(tracer, parse_span, worker_tracer)
-                self.log.graft(worker_events)
-                for outcome in chunk_outcomes:
-                    # A re-parse for the sweep leaves the cached
-                    # outcome in place.  Contained parser crashes are
-                    # never cached: the fault may be transient, and
-                    # strict runs must reproduce it.
-                    if outcome.path in outcomes:
-                        continue
-                    outcomes[outcome.path] = outcome
-                    if writes and outcome.crash is None:
-                        cache.put(parse_keys[outcome.path], outcome)
-                for path, bundle in chunk_bundles.items():
-                    cached = (self._lookup("check", check_keys[path])
-                              if path in parse_keys else CACHE_MISS)
-                    if cached is not CACHE_MISS:
-                        bundle = cached
-                    elif writes and not bundle_has_crash(bundle):
-                        # Crashed bundles are never cached (see
-                        # bundle_has_crash).
-                        cache.put(check_keys[path], bundle)
-                    bundles[path] = bundle
-        finally:
-            self._absorb_worker_shards(shard_dirs)
-
-    # ------------------------------------------------------------------
-    # store-backed worker fan-out
-
-    def _worker_shards(self, tasks: List[ParseTask],
-                       parse_keys: Dict[str, str],
-                       check_keys: Dict[str, str]) -> List[str]:
-        """Arm pooled tasks with private object areas, when store-backed.
-
-        With a :attr:`~repro.store.objects.ObjectStore.
-        worker_shard_base` configured (a ``--store`` run), each task
-        gets its cache keys and a ``shard-<host>-<pid>-w<index>/
-        objects`` area under the store root: the worker persists its
-        own results, the parent absorbs the areas on join, and a killed
-        run leaves behind valid shard directories ``repro-store merge``
-        folds in.  Caches without a base and a lone task, which runs
-        inline, are untouched.  Returns the armed shard
-        directories (empty when inactive).
-        """
-        cache = self.config.cache
-        base = (getattr(cache, "worker_shard_base", None)
-                if cache is not None else None)
-        if base is None or len(tasks) < 2:
-            return []
-        shard_dirs: List[str] = []
-        for task in tasks:
-            paths = [path for path, _ in task.items]
-            task.cache_keys = [parse_keys.get(path) for path in paths]
-            task.check_keys = [check_keys[path] for path in paths]
-            task.shard_dir = os.path.join(
-                base, default_shard_name(f"w{task.worker}"),
-                OBJECTS_DIRNAME)
-            shard_dirs.append(task.shard_dir)
-        return shard_dirs
-
-    def _absorb_worker_shards(self, shard_dirs: List[str]) -> None:
-        """Fold worker object areas back into the cache's write area."""
-        cache = self.config.cache
-        for shard_dir in shard_dirs:
-            cache.absorb(shard_dir)
-            shutil.rmtree(os.path.dirname(shard_dir),
-                          ignore_errors=True)
+        for (chunk_outcomes, chunk_bundles, worker_tracer,
+             worker_events) in run_tasks(
+                run_parse_task, tasks, jobs=self.jobs,
+                # Only a fault-counter label, kept because the benchmark
+                # harness sizes pool IPC by it.
+                executor=self.config.executor,
+                timeout=self.config.task_timeout,
+                metrics=tracer.metrics, log=self.log):
+            graft_worker_trace(tracer, parse_span, worker_tracer)
+            self.log.graft(worker_events)
+            for outcome in chunk_outcomes:
+                # A re-parse for the sweep leaves the cached outcome in
+                # place.  Contained parser crashes are never cached: the
+                # fault may be transient, and strict runs must
+                # reproduce it.
+                if outcome.path in outcomes:
+                    continue
+                outcomes[outcome.path] = outcome
+                if cache is not None and outcome.crash is None:
+                    cache.put(parse_keys[outcome.path], outcome)
+            for path, bundle in chunk_bundles.items():
+                cached = (self._lookup("check", check_keys[path])
+                          if path in parse_keys else CACHE_MISS)
+                if cached is not CACHE_MISS:
+                    bundle = cached
+                elif cache is not None and not bundle_has_crash(bundle):
+                    # Crashed bundles are never cached (see
+                    # bundle_has_crash).
+                    cache.put(check_keys[path], bundle)
+                bundles[path] = bundle
 
     # ------------------------------------------------------------------
     # stage 2: metrics

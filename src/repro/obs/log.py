@@ -17,7 +17,7 @@ The contract mirrors the tracer's:
 * events are emitted at the *load-bearing* points only — parse
   failures, unreadable-file skips (``parse.skipped_unreadable``),
   checker crashes, worker deaths and timeouts, serial fallbacks, cache
-  corruption and dead-shard sweeps (``cache.sweep_shards``), serve
+  corruption and stale-temp sweeps (``cache.sweep``), serve
   request faults (``serve.request_error``, ``serve.crash``) — not per
   unit of work;
 * worker chunks log into a picklable :class:`BufferLog`; the parent

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from dataclasses import dataclass
@@ -56,7 +57,7 @@ DEFAULT_SPIKE_FACTOR = 2.0
 DEFAULT_MIN_DELTA = 3
 #: Latest stage seconds must be at least this multiple of the median.
 DEFAULT_SLOWDOWN_FACTOR = 2.0
-#: ... and exceed it by at least this many seconds (absorbs noise on
+#: ... and exceed it by at least this many seconds (filters noise on
 #: sub-millisecond stages).
 DEFAULT_MIN_SECONDS = 0.05
 
@@ -318,10 +319,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.last < 1:
-        print(f"--last must be a positive integer, got {args.last}",
-              file=sys.stderr)
-        return 2
+    # A NaN threshold compares false against everything and would
+    # silently switch the gate off, so reject it with the rest.
+    for flag, value, valid, expected in (
+            ("--last", args.last, args.last >= 1, "a positive integer"),
+            ("--spike-factor", args.spike_factor,
+             math.isfinite(args.spike_factor) and args.spike_factor > 0,
+             "a positive number"),
+            ("--min-delta", args.min_delta, args.min_delta >= 0,
+             "a non-negative integer"),
+            ("--slowdown-factor", args.slowdown_factor,
+             math.isfinite(args.slowdown_factor)
+             and args.slowdown_factor > 0, "a positive number"),
+            ("--min-seconds", args.min_seconds,
+             math.isfinite(args.min_seconds) and args.min_seconds >= 0,
+             "a non-negative number")):
+        if not valid:
+            print(f"{flag} must be {expected}, got {value}",
+                  file=sys.stderr)
+            return 2
     history = RunHistory(args.store)
     try:
         records = history.tail(args.last)

@@ -9,8 +9,9 @@ runs, processes, and machines:
   a directory holding only this file is a valid history too);
 * ``shard-<host>-<pid>*/`` — per-process shard directories, each a
   miniature store (its own object area + run table) that one writer
-  owns exclusively, so concurrent invocations and worker pools never
-  contend on shared files.
+  owns exclusively, so concurrent invocations never contend on shared
+  files.  Within one invocation the parent process is the only writer:
+  pooled workers do no store I/O.
 
 :func:`~repro.store.merge.merge_into` folds any number of shards (and
 whole foreign stores, and bare run-history directories) into a master
@@ -44,7 +45,6 @@ from .layout import (
     OBJECTS_DIRNAME,
     SHARD_PREFIX,
     default_shard_name,
-    is_shard_dir,
     list_shards,
 )
 from .merge import MergeStats, merge_into, merge_shards
@@ -70,7 +70,6 @@ __all__ = [
     "build_run_record",
     "collect_garbage",
     "default_shard_name",
-    "is_shard_dir",
     "list_shards",
     "merge_into",
     "merge_shards",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import re
-from typing import List, Optional, Tuple
+from typing import List
 
 #: Object-area directory name inside a store (and inside each shard).
 OBJECTS_DIRNAME = "objects"
@@ -39,17 +39,12 @@ def default_shard_name(suffix: str = "") -> str:
     ``shard-<host>-<pid>`` identifies one process on one machine — two
     concurrent invocations (or two machines sharing a network store)
     can never collide.  An optional ``suffix`` distinguishes finer
-    writers within one process (worker threads).
+    writers within one process (a ``K/N`` corpus slice).
     """
     name = f"{SHARD_PREFIX}{safe_hostname()}-{os.getpid()}"
     if suffix:
         name += f"-{_safe_component(suffix)}"
     return name
-
-
-def is_shard_dir(name: str) -> bool:
-    """True when a store child directory name is a shard."""
-    return name.startswith(SHARD_PREFIX)
 
 
 def safe_hostname() -> str:
@@ -59,23 +54,6 @@ def safe_hostname() -> str:
     except AttributeError:  # pragma: no cover - non-POSIX
         host = os.environ.get("COMPUTERNAME", "host")
     return _safe_component(host)
-
-
-#: Worker sub-shards — the per-worker object areas a parallel
-#: store-backed pipeline arms (``-w<index>`` suffix).  Unlike ``K/N``
-#: corpus shards, these are join artifacts: they only outlive their
-#: process when an interrupted run skipped the absorb, so a later store
-#: open may safely fold them back.
-_WORKER_SHARD = re.compile(
-    rf"^{SHARD_PREFIX}(?P<host>.+)-(?P<pid>\d+)-w\d+$")
-
-
-def parse_worker_shard(name: str) -> Optional[Tuple[str, int]]:
-    """``(host, pid)`` when ``name`` is a worker sub-shard, else None."""
-    match = _WORKER_SHARD.match(name)
-    if match is None:
-        return None
-    return match.group("host"), int(match.group("pid"))
 
 
 def list_shards(root: str) -> List[str]:
@@ -89,5 +67,5 @@ def list_shards(root: str) -> List[str]:
     except OSError:
         return []
     return [os.path.join(root, name) for name in sorted(names)
-            if is_shard_dir(name)
+            if name.startswith(SHARD_PREFIX)
             and os.path.isdir(os.path.join(root, name))]

@@ -209,11 +209,11 @@ def merge_into(store: Store, sources: Sequence[str] = (),
         pools.append(([], False))
 
     own_shards = store.shards()
-    for shard_dir in own_shards:
-        table = os.path.join(shard_dir, LEDGER_FILENAME)
+    for shard in own_shards:
+        table = os.path.join(shard, LEDGER_FILENAME)
         if os.path.isfile(table):
-            pools.append((RunHistory(shard_dir)._parse_file(table), True))
-        shard_area = os.path.join(shard_dir, OBJECTS_DIRNAME)
+            pools.append((RunHistory(shard)._parse_file(table), True))
+        shard_area = os.path.join(shard, OBJECTS_DIRNAME)
         for key, path in list(area.entries(shard_area)):
             _merge_entry(path, area.entry_path(key), move=remove_shards,
                          stats=stats)
@@ -234,8 +234,8 @@ def merge_into(store: Store, sources: Sequence[str] = (),
 
     history.rewrite(_union_documents(pools, stats))
     if remove_shards:
-        for shard_dir in own_shards:
-            shutil.rmtree(shard_dir, ignore_errors=True)
+        for shard in own_shards:
+            shutil.rmtree(shard, ignore_errors=True)
     return stats
 
 

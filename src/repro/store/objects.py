@@ -70,7 +70,9 @@ class ObjectStore:
         root: the shared object area (created lazily on first write
             when no shard is configured).
         shard_root: optional writer-private object area receiving every
-            write; ``None`` writes straight into :attr:`root`.
+            write; ``None`` writes straight into :attr:`root`.  Either
+            way one process writes: the pipeline's parent, never its
+            pooled workers.
         hits: entries served from disk this process.
         misses: lookups that found no (readable) entry.
         puts: entries successfully written this process.
@@ -83,9 +85,6 @@ class ObjectStore:
             build_run_record` copies :attr:`referenced` into the run
             manifest (set by :meth:`~repro.store.store.Store.
             object_store`; a bare object area pins nothing).
-        worker_shard_base: optional store root under which the pipeline
-            may create per-worker shard directories for its fan-out
-            (set by ``--store``; ``None`` keeps puts in the parent).
 
     The same accounting lands in an attached
     :class:`~repro.obs.MetricsRegistry` (counters ``cache.hits``,
@@ -104,7 +103,6 @@ class ObjectStore:
         self.corrupt_entries = 0
         self.referenced = set()
         self.record_references = False
-        self.worker_shard_base: Optional[str] = None
         self.metrics: MetricsRegistry = _NULL_METRICS
         self.log: EventLog = NULL_LOG
         self._swept = False
@@ -181,9 +179,6 @@ class ObjectStore:
         """Filesystem path of the entry for ``key`` (may not exist)."""
         return os.path.join(root if root is not None else self.root,
                             key[:2], key + ".pkl")
-
-    # Backwards-compatible alias.
-    _entry_path = entry_path
 
     def _read_roots(self) -> Tuple[str, ...]:
         if self.shard_root is not None:
@@ -305,7 +300,7 @@ class ObjectStore:
         return True
 
     # ------------------------------------------------------------------
-    # area iteration and bulk moves (merge / gc building blocks)
+    # area iteration (merge / gc building block)
 
     def entries(self, root: Optional[str] = None
                 ) -> Iterator[Tuple[str, str]]:
@@ -328,30 +323,3 @@ class ObjectStore:
             for name in names:
                 if name.endswith(".pkl"):
                     yield name[:-4], os.path.join(directory, name)
-
-    def absorb(self, area_root: str) -> int:
-        """Move another object area's entries into the write area.
-
-        The fan-out join: worker shards produced under
-        :attr:`worker_shard_base` are folded back with same-filesystem
-        ``os.replace`` — no re-pickling, no copies.  An entry already
-        present in the write area wins (it is content-addressed: same
-        key, same value).  Returns the number of entries absorbed;
-        never raises.
-        """
-        absorbed = 0
-        for key, path in list(self.entries(area_root)):
-            destination = self.entry_path(key, self.write_root)
-            try:
-                os.makedirs(os.path.dirname(destination), exist_ok=True)
-                if os.path.exists(destination):
-                    os.remove(path)
-                else:
-                    os.replace(path, destination)
-                    absorbed += 1
-                    self.puts += 1
-                    self.metrics.counter("cache.puts").inc()
-                self.referenced.add(key)
-            except OSError:
-                continue
-        return absorbed

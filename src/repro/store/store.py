@@ -15,19 +15,12 @@ correctly-wired views of each:
 from __future__ import annotations
 
 import os
-import shutil
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .history import LEDGER_FILENAME, RunHistory
-from .layout import (
-    OBJECTS_DIRNAME,
-    default_shard_name,
-    list_shards,
-    parse_worker_shard,
-    safe_hostname,
-)
-from .objects import ObjectStore, _process_alive
+from .layout import OBJECTS_DIRNAME, default_shard_name, list_shards
+from .objects import ObjectStore
 
 
 @dataclass(frozen=True)
@@ -88,55 +81,17 @@ class Store:
                 consult the master area first.  ``None`` writes
                 straight into the master area.
 
-        Either way the returned store has
-        :attr:`~repro.store.objects.ObjectStore.worker_shard_base` set,
-        so a parallel pipeline fans its workers' puts into private
-        sub-shards and folds them back on join.
+        The pipeline reads and writes the returned area only from the
+        parent process, pooled or serial, so a store has exactly one
+        writer per invocation and no lock.
         """
         shard_root = None
         if shard is not None:
             shard_root = os.path.join(self.shard_path(shard or None),
                                       OBJECTS_DIRNAME)
         area = ObjectStore(self.objects_root, shard_root=shard_root)
-        area.worker_shard_base = self.root
         area.record_references = True
-        self.sweep_dead_worker_shards(area)
         return area
-
-    def sweep_dead_worker_shards(self, area: ObjectStore) -> int:
-        """Absorb worker sub-shards whose owning process is gone.
-
-        A parallel store-backed run arms per-worker
-        ``shard-<host>-<pid>-w<index>/`` areas and folds them back on
-        join; a run killed mid-pool can still leak them (the absorb
-        runs in a ``finally``, but ``SIGKILL`` skips even that).  On
-        the next store open, any such directory belonging to a dead
-        process *on this host* is absorbed into ``area``'s write area
-        and removed — mirroring the stale ``*.tmp.<pid>`` sweep, and
-        losing nothing because entries are content-addressed.
-
-        ``K/N`` corpus shards and foreign hosts' shards are never
-        touched: the former await an explicit ``repro-store merge``,
-        and the latter's PIDs cannot be probed from here.  Returns the
-        number of shard directories swept; never raises.
-        """
-        host = safe_hostname()
-        swept = 0
-        for shard_dir in list_shards(self.root):
-            owner = parse_worker_shard(os.path.basename(shard_dir))
-            if owner is None:
-                continue
-            shard_host, pid = owner
-            if shard_host != host or _process_alive(pid):
-                continue
-            area.absorb(os.path.join(shard_dir, OBJECTS_DIRNAME))
-            shutil.rmtree(shard_dir, ignore_errors=True)
-            swept += 1
-        if swept:
-            area.metrics.counter("cache.swept_shards").inc(swept)
-            area.log.info("cache.sweep_shards", root=self.root,
-                          removed=swept)
-        return swept
 
     def history(self) -> RunHistory:
         """The master run table (shard tables unioned on read)."""
@@ -162,14 +117,14 @@ class Store:
         shard_objects = 0
         shard_runs = 0
         shards = self.shards()
-        for shard_dir in shards:
+        for shard in shards:
             shard_objects += sum(
                 1 for _ in area.entries(
-                    os.path.join(shard_dir, OBJECTS_DIRNAME)))
+                    os.path.join(shard, OBJECTS_DIRNAME)))
             try:
                 shard_runs += len(
-                    RunHistory(shard_dir)._parse_file(
-                        os.path.join(shard_dir, LEDGER_FILENAME)))
+                    RunHistory(shard)._parse_file(
+                        os.path.join(shard, LEDGER_FILENAME)))
             except OSError:
                 pass
         runs = 0

@@ -191,7 +191,8 @@ class TestEquivalenceMatrix:
         assert stage_counts(metrics, cache) == {
             "parse": (files, 0), "check": (0, units),
             "store": (files, units, units), "reparsed": units}
-        # pooled tasks wrote through private shards; none is left over
+        # the parent wrote every entry, pooled or serial: no shard
+        # directory appears beside objects/
         assert [name for name in os.listdir(root)
                 if name.startswith("shard-")] == []
 

@@ -164,6 +164,27 @@ class TestMain:
         assert main(["--store", str(tmp_path), "--last", "0"]) == 2
         assert "--last" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--spike-factor", "nan"),
+        ("--spike-factor", "inf"),
+        ("--spike-factor", "0"),
+        ("--spike-factor", "-2"),
+        ("--slowdown-factor", "nan"),
+        ("--slowdown-factor", "0"),
+        ("--min-delta", "-1"),
+        ("--min-seconds", "nan"),
+        ("--min-seconds", "inf"),
+        ("--min-seconds", "-0.5"),
+    ])
+    def test_bad_threshold_exits_2(self, tmp_path, capsys, flag, value):
+        # a spiked ledger: an accepted bad threshold would hide it
+        self._seed_ledger(tmp_path, spiked=True)
+        assert main(["--store", str(tmp_path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{flag} must be ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
     def test_json_report_written(self, tmp_path, capsys):
         self._seed_ledger(tmp_path, spiked=True)
         report = tmp_path / "trends.json"

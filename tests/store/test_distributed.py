@@ -7,8 +7,13 @@ one single-process run — and ``repro-trends`` works over the merged
 history.
 """
 
+import os
+
+import pytest
+
 from repro.core import AssessmentPipeline, PipelineConfig
 from repro.core.cli import main as assess
+from repro.core.parallel import run_tasks as real_run_tasks
 from repro.corpus import apollo_spec, generate_corpus
 from repro.obs.trends import main as trends
 from repro.store import ObjectStore, RunHistory, Store, build_run_record
@@ -90,13 +95,18 @@ class TestShardMergeReplay:
         assert full_out  # the replay printed a summary
 
 
-class TestWorkerShards:
+class TestPooledEqualsSerial:
+    """A pooled ``--store`` run writes exactly what a serial one does:
+    same JSON, same manifest, and no directory beside ``objects/``."""
+
     def test_jobs_fanout_matches_serial_and_cleans_up(self, tmp_path,
                                                       capsys):
         serial = str(tmp_path / "serial.json")
         fanned = str(tmp_path / "fanned.json")
+        serial_store = str(tmp_path / "serial-store")
         store = str(tmp_path / "store")
-        code, _ = run_quiet(capsys, ["--corpus", SCALE, "--json", serial])
+        code, _ = run_quiet(capsys, [
+            "--corpus", SCALE, "--store", serial_store, "--json", serial])
         assert code == 0
         code, _ = run_quiet(capsys, [
             "--corpus", SCALE, "--store", store, "--jobs", "2",
@@ -106,13 +116,50 @@ class TestWorkerShards:
             expected = handle.read()
         with open(fanned, "rb") as handle:
             assert handle.read() == expected
-        # worker shards were absorbed and removed on join
+        # the manifest does not depend on the executor
+        pooled_record = RunHistory(store).records()[-1]
+        serial_record = RunHistory(serial_store).records()[-1]
+        assert pooled_record.cache == serial_record.cache
+        assert pooled_record.cache["puts"] > 0
+        assert pooled_record.objects == serial_record.objects
+        # the parent wrote every entry: no shard directory appeared
         assert Store(store).shards() == []
-        # ... and their entries landed in the master area, replayable
+        # ... and the entries landed in the master area, replayable
         code, out = run_quiet(capsys, [
             "--corpus", SCALE, "--store", store])
         assert code == 0
         assert ", 0 misses" in out
+
+
+class TestInterruptedRunLeaksNothing:
+    def test_interrupt_leaves_no_shard_or_temp(self, tmp_path,
+                                               monkeypatch):
+        """A ``KeyboardInterrupt`` inside the fan-out, after the pooled
+        workers ran, leaves the store as the lookups left it: workers
+        write nothing, and the parent was interrupted before its puts."""
+        store = Store(str(tmp_path / "store"))
+        ran = []
+
+        def interrupted_run_tasks(function, tasks, **kwargs):
+            ran.extend(real_run_tasks(function, tasks, **kwargs))
+            raise KeyboardInterrupt()
+
+        monkeypatch.setattr("repro.core.pipeline.run_tasks",
+                            interrupted_run_tasks)
+        pipeline = AssessmentPipeline(PipelineConfig(
+            jobs=2, cache=store.object_store()))
+        sources = {"a.cpp": "int f() { return 1; }\n",
+                   "b.cpp": "int g() { return 2; }\n"}
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run(sources)
+        assert len(ran) == 2, "the pooled tasks did not run"
+        leftovers = [os.path.join(directory, name)
+                     for directory, subdirectories, files
+                     in os.walk(store.root)
+                     for name in subdirectories + files
+                     if name.startswith("shard-") or ".tmp." in name]
+        assert leftovers == []
+        assert list(ObjectStore(store.objects_root).entries()) == []
 
 
 class TestManifestObjects:

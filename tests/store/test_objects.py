@@ -1,5 +1,5 @@
-"""Object-store mechanics: shard redirection, absorb, and the
-corrupt-entry / plain-miss classification."""
+"""Object-store mechanics: shard redirection and the corrupt-entry /
+plain-miss classification."""
 
 import os
 import pickle
@@ -37,38 +37,10 @@ class TestShardRedirection:
         store = Store(str(tmp_path / "store"))
         area = store.object_store()
         assert area.root == store.objects_root
-        assert area.worker_shard_base == store.root
         assert area.record_references is True
         sharded = store.object_store(shard="")
         assert sharded.write_root.startswith(
             os.path.join(store.root, "shard-"))
-
-
-class TestAbsorb:
-    def test_absorb_moves_entries_and_counts_puts(self, tmp_path):
-        area = ObjectStore(str(tmp_path / "objects"))
-        worker = ObjectStore(str(tmp_path / "worker"))
-        worker.put(key("a"), 1)
-        worker.put(key("b"), 2)
-        assert area.absorb(str(tmp_path / "worker")) == 2
-        assert area.puts == 2
-        assert area.get(key("a")) == 1 and area.get(key("b")) == 2
-        assert key("a") in area.referenced
-        # source entries were moved, not copied
-        assert list(worker.entries()) == []
-
-    def test_existing_destination_wins(self, tmp_path):
-        area = ObjectStore(str(tmp_path / "objects"))
-        area.put(key("a"), "present")
-        worker = ObjectStore(str(tmp_path / "worker"))
-        worker.put(key("a"), "incoming")
-        assert area.absorb(str(tmp_path / "worker")) == 0
-        assert area.get(key("a")) == "present"
-        assert list(worker.entries()) == []
-
-    def test_missing_area_is_a_noop(self, tmp_path):
-        area = ObjectStore(str(tmp_path / "objects"))
-        assert area.absorb(str(tmp_path / "nope")) == 0
 
 
 class TestMissClassification:
