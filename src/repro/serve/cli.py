@@ -16,6 +16,7 @@ each file version exactly once.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -110,9 +111,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--watch and --tcp are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.interval <= 0:
-        print(f"--interval must be positive, got {args.interval}",
-              file=sys.stderr)
+    if not (math.isfinite(args.interval) and args.interval > 0):
+        print(f"--interval must be a positive number, got "
+              f"{args.interval}", file=sys.stderr)
         return 2
     if args.iterations < 0:
         print(f"--iterations must be >= 0, got {args.iterations}",

@@ -19,19 +19,23 @@ Contract:
   containment boundary is per-request;
 * replies are serialized deterministically (sorted keys, compact
   separators), so byte-comparing two replies is byte-comparing their
-  content.
+  content.  An ``assess`` reply's ``findings`` body arrives already
+  encoded (:class:`FindingsBody`) and is spliced in, not re-encoded;
+  the bytes are those plain :func:`json.dumps` would write.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import ServeError
 
 __all__ = [
+    "FindingsBody",
     "PROTOCOL_VERSION",
     "VERBS",
+    "canonical",
     "encode_reply",
     "error_reply",
     "parse_request",
@@ -79,11 +83,55 @@ def error_reply(request_id: Optional[Any], message: str,
             "error": message}
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, built
+#: once: the server encodes one small list per checker bundle.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical(value: Any) -> str:
+    """``value`` as canonical JSON text: sorted keys, compact
+    separators."""
+    return _CANONICAL.encode(value)
+
+
+class FindingsBody(dict):
+    """An ``assess`` reply's ``findings`` (checker name -> sorted
+    ``located()`` strings) that carries its own canonical JSON text.
+
+    The text is kept as ``pieces`` whose concatenation must equal
+    :func:`canonical` of the dict, so the server's kept per-file
+    fragments are shared rather than copied into a second text.  The
+    server builds the pieces once per body; a body is never mutated
+    after it is built.
+    """
+
+    def __init__(self, findings: Dict[str, List[str]],
+                 pieces: List[str]) -> None:
+        super().__init__(findings)
+        self.pieces = pieces
+
+
 def encode_reply(reply: Dict[str, Any]) -> str:
     """One reply as a deterministic JSON line (trailing newline).
 
     Sorted keys and compact separators make equal replies equal bytes —
     the property the serve acceptance tests (and caching clients) pin.
+    A :class:`FindingsBody`'s pieces are spliced in at its key's sorted
+    place and every other value is encoded, so the line, joined once,
+    is exactly ``canonical(reply) + "\\n"`` without re-encoding the
+    findings.
     """
-    return json.dumps(reply, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    findings = reply.get("findings")
+    if not isinstance(findings, FindingsBody):
+        return canonical(reply) + "\n"
+    pieces = ["{"]
+    for key in sorted(reply):
+        pieces.append(canonical(key))
+        pieces.append(":")
+        if key == "findings":
+            pieces.extend(findings.pieces)
+        else:
+            pieces.append(canonical(reply[key]))
+        pieces.append(",")
+    pieces[-1] = "}\n"
+    return "".join(pieces)

@@ -11,11 +11,14 @@ the cache), and the project-level stages (metrics, checker finish,
 evidence, compliance, observations) are folded from the root's previous
 result part by part, rebuilt only from the files that changed (see
 :meth:`~repro.core.pipeline.AssessmentPipeline.run`).  The reply's
-``findings`` body is assembled the same way: each checker bundle's
-sorted ``located()`` strings are kept per bundle, so an edit formats
-only the changed files' and the project-level findings before one
-run-aware sort.  A repeat ``assess`` of an unchanged tree recomputes
-nothing and replies byte-identically to the first.
+``findings`` body is assembled the same way, its JSON text included:
+each checker bundle's sorted ``located()`` strings are kept per bundle
+beside their encoded fragment, so an edit formats and encodes only the
+changed files' and the project-level findings, and one merge splices
+every kept run that no other string sorts into
+(:class:`~repro.serve.protocol.FindingsBody`).  A repeat ``assess`` of
+an unchanged tree recomputes nothing, encodes no finding, and replies
+byte-identically to the first.
 
 Each request runs inside the fault-containment boundary the pipeline
 already provides: a crashing checker or a corrupt cache entry degrades
@@ -37,7 +40,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Set
+from bisect import bisect_left
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.cache import MemoryCache
 from ..core.config import PipelineConfig
@@ -51,12 +56,17 @@ from ..errors import ReproError, ServeError
 from ..obs import NULL_LOG, EventLog, Histogram, Tracer
 from ..rules import REGISTRY, RuleProfile
 from ..store import ObjectStore, Store, build_run_record, new_run_id
-from .protocol import PROTOCOL_VERSION, VERBS, encode_reply, \
-    error_reply, parse_request
+from .protocol import PROTOCOL_VERSION, VERBS, FindingsBody, canonical, \
+    encode_reply, error_reply, parse_request
 from .stream import finding_diff
 from .watcher import TreeWatcher, WatchDelta
 
 __all__ = ["AssessmentServer", "run_stdio", "run_tcp"]
+
+#: One checker's findings in one bundle: its first and last sorted
+#: ``located()`` strings, all of them, and their JSON array text without
+#: the brackets.
+Run = Tuple[str, str, List[str], str]
 
 
 class _CacheDelta:
@@ -134,12 +144,13 @@ class AssessmentServer:
         #: Latest and previous assessment per root (the diff operands).
         self.results: Dict[str, Any] = {}
         self.previous: Dict[str, Any] = {}
-        #: The latest reply's ``findings`` body per root, shared by the
-        #: next reply when its result shares the reports.
-        self.findings: Dict[str, Dict[str, List[str]]] = {}
-        #: Each live checker bundle's sorted ``located()`` strings per
-        #: checker, by the bundle's cache key.
-        self.located: Dict[str, Dict[str, List[str]]] = {}
+        #: The latest reply's ``findings`` body per root, shared (text
+        #: included) by the next reply when its result shares the
+        #: reports.
+        self.findings: Dict[str, FindingsBody] = {}
+        #: Each live checker bundle's :data:`Run` per checker that has
+        #: findings in it, by the bundle's cache key.
+        self.located: Dict[str, Dict[str, Run]] = {}
         #: Cache keys each root's latest assessment touched; the union
         #: is what :meth:`MemoryCache.retain` and :attr:`located` keep.
         self.live_keys: Dict[str, Set[str]] = {}
@@ -154,6 +165,9 @@ class AssessmentServer:
         self.parts_recomputed = 0
         #: Request latency in seconds, per verb.
         self.latency: Dict[str, Histogram] = {}
+        #: Seconds the transports spent encoding replies, which the
+        #: verb latency does not include.
+        self.reply_encode = Histogram("reply_encode")
         self.errors = 0
         self.degraded_replies = 0
         self._lock = threading.RLock()
@@ -301,12 +315,8 @@ class AssessmentServer:
             "polls": watcher.polls,
             "skipped_unreadable": watcher.skipped_total,
         } for root, watcher in sorted(self.watchers.items())}
-        latency = {verb: {
-            "count": histogram.count,
-            "p50_ms": round(histogram.quantile(0.5) * 1e3, 3),
-            "p90_ms": round(histogram.quantile(0.9) * 1e3, 3),
-            "max_ms": round(histogram.maximum * 1e3, 3),
-        } for verb, histogram in sorted(self.latency.items())}
+        latency = {verb: _summary(histogram)
+                   for verb, histogram in sorted(self.latency.items())}
         return {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": round(time.monotonic() - self.started, 3),
@@ -316,6 +326,7 @@ class AssessmentServer:
             "project_parts": {"reused": self.parts_reused,
                               "recomputed": self.parts_recomputed},
             "latency": latency,
+            "reply_encode": _summary(self.reply_encode),
             "errors": self.errors,
             "degraded_replies": self.degraded_replies,
             "skipped_unreadable": sum(
@@ -386,16 +397,17 @@ class AssessmentServer:
                 reply["run"] = run_id
             return reply
 
-    def _findings_body(self, result) -> Dict[str, List[str]]:
+    def _findings_body(self, result) -> FindingsBody:
         """The reply's ``findings``: each checker's sorted ``located()``
-        strings.
+        strings, with the pieces of the body's JSON text.
 
         A folded report (one with :attr:`~repro.checkers.base.
         CheckerReport.partials`) starts with its per-unit reports'
         findings in unit order, so its strings are the kept per-bundle
-        lists (see :meth:`_bundle_located`) plus the project-level
-        findings' fresh ones, put in order by one sort that runs
-        through the already-sorted stretches.
+        runs (see :meth:`_bundle_located`) merged with the project-level
+        findings' fresh ones (see :func:`_merge_runs`); any other
+        report's strings are all fresh.  The pieces are joined once,
+        with the rest of the reply, by :func:`encode_reply`.
         """
         parts = result.parts
         per_unit = None
@@ -404,38 +416,48 @@ class AssessmentServer:
                                              parts.bundles[path])
                         for path in parts.units]
         findings: Dict[str, List[str]] = {}
+        pieces = ["{"]
         for name, report in sorted(result.reports.items()):
             partials = report.partials
-            if per_unit is None or partials is None:
-                findings[name] = sorted(finding.located()
-                                        for finding in report.findings)
-                continue
-            located: List[str] = []
-            if partials.unit_findings:
-                for strings in per_unit:
-                    located.extend(strings[name])
-            located.extend(finding.located() for finding
-                           in report.findings[partials.unit_findings:])
-            located.sort()
-            findings[name] = located
-        return findings
+            runs: List[Run] = []
+            fresh = report.findings
+            if per_unit is not None and partials is not None:
+                if partials.unit_findings:
+                    runs = [unit[name] for unit in per_unit
+                            if name in unit]
+                fresh = fresh[partials.unit_findings:]
+            if len(pieces) > 1:
+                pieces.append(",")
+            pieces.append(canonical(name))
+            pieces.append(":[")
+            findings[name] = _merge_runs(
+                runs, sorted(finding.located() for finding in fresh),
+                pieces)
+            pieces.append("]")
+        pieces.append("}")
+        return FindingsBody(findings, pieces)
 
-    def _bundle_located(self, key: str, bundle) -> Dict[str, List[str]]:
-        """One checker bundle's sorted ``located()`` strings per checker,
-        formatted once per bundle key while the key stays live."""
+    def _bundle_located(self, key: str, bundle) -> Dict[str, Run]:
+        """One checker bundle's :data:`Run` per checker with findings,
+        formatted and encoded once per bundle key while the key stays
+        live."""
         located = self.located.get(key)
         if located is None:
-            located = {name: sorted(finding.located()
-                                    for finding in report.findings)
-                       for name, report in bundle.items()}
+            located = {}
+            for name, report in bundle.items():
+                if report.findings:
+                    strings = sorted(finding.located()
+                                     for finding in report.findings)
+                    located[name] = (strings[0], strings[-1], strings,
+                                     canonical(strings)[1:-1])
             self.located[key] = located
         return located
 
     def _retain_live(self, root: str) -> None:
-        """Drop the memory-cache entries and kept ``located()`` strings
-        no root's latest assessment touched (an edited file's
-        superseded parse and checker entries), so the daemon's memory
-        follows its trees, not their edit history."""
+        """Drop the memory-cache entries and kept runs no root's latest
+        assessment touched (an edited file's superseded parse and
+        checker entries), so the daemon's memory follows its trees, not
+        their edit history."""
         self.live_keys[root] = set(self.cache.referenced)
         live = set().union(*self.live_keys.values())
         if isinstance(self.cache, MemoryCache):
@@ -445,8 +467,10 @@ class AssessmentServer:
             del located[key]
 
     def _verb_assess(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self.assess(self._root_for(request),
-                           refresh=request.get("refresh", True))
+        refresh = request.get("refresh", True)
+        if not isinstance(refresh, bool):
+            raise ServeError("assess refresh must be true or false")
+        return self.assess(self._root_for(request), refresh=refresh)
 
     def diff(self, root: str,
              baseline_path: Optional[str] = None) -> Dict[str, Any]:
@@ -487,8 +511,91 @@ class AssessmentServer:
         return self.diff(self._root_for(request), baseline)
 
 
+def _merge_runs(runs: List[Run], fresh: List[str],
+                pieces: List[str]) -> List[str]:
+    """One checker's sorted strings, merged from its kept ``runs`` and
+    the sorted ``fresh`` ones; appends the JSON array's elements,
+    comma-separated, to ``pieces``.
+
+    A run is spliced whole, as its kept fragment, when no other run's
+    string and no fresh string sorts within it (between its first and
+    last string, both included).  The spliced runs are then disjoint
+    and no other string falls inside one, so the rest (the fresh
+    strings and every other run's) are sorted together and encoded in
+    slices, one per gap between spliced runs.
+    """
+    runs = sorted(runs, key=itemgetter(0))
+    whole: List[Run] = []
+    loose = list(fresh)
+    reach = None
+    following = [run[0] for run in runs[1:]]
+    following.append(None)
+    for run, after in zip(runs, following):
+        first, last, strings, _ = run
+        if ((reach is None or reach < first)
+                and (after is None or last < after)
+                and (not fresh or _none_within(fresh, first, last))):
+            whole.append(run)
+        else:
+            loose.extend(strings)
+        if reach is None or reach < last:
+            reach = last
+    loose.sort()
+    located: List[str] = []
+    mark = len(pieces)
+    at = 0
+    for first, _, strings, fragment in whole:
+        if at < len(loose) and loose[at] < first:
+            end = bisect_left(loose, first, at)
+            _emit(loose[at:end], located, pieces)
+            at = end
+        located.extend(strings)
+        pieces.append(fragment)
+        pieces.append(",")
+    if at < len(loose):
+        _emit(loose[at:], located, pieces)
+    if len(pieces) > mark:
+        pieces.pop()
+    return located
+
+
+def _none_within(strings: List[str], first: str, last: str) -> bool:
+    """Whether no string of sorted ``strings`` lies in [first, last]."""
+    index = bisect_left(strings, first)
+    return index == len(strings) or last < strings[index]
+
+
+def _emit(chunk: List[str], located: List[str],
+          pieces: List[str]) -> None:
+    located.extend(chunk)
+    pieces.append(canonical(chunk)[1:-1])
+    pieces.append(",")
+
+
+def _summary(histogram: Histogram) -> Dict[str, Any]:
+    """A histogram of seconds as ``stats`` reports it."""
+    return {
+        "count": histogram.count,
+        "p50_ms": round(histogram.quantile(0.5) * 1e3, 3),
+        "p90_ms": round(histogram.quantile(0.9) * 1e3, 3),
+        "max_ms": (round(histogram.maximum * 1e3, 3)
+                   if histogram.count else 0.0),
+    }
+
+
 # ----------------------------------------------------------------------
 # transports
+
+
+def _encode(server: AssessmentServer, reply: Dict[str, Any]) -> str:
+    """:func:`~repro.serve.protocol.encode_reply`, timed into the
+    server's ``reply_encode`` histogram."""
+    started = time.perf_counter()
+    text = encode_reply(reply)
+    elapsed = time.perf_counter() - started
+    with server._lock:
+        server.reply_encode.observe(elapsed)
+    return text
 
 
 def run_stdio(server: AssessmentServer, stdin, stdout) -> int:
@@ -503,7 +610,7 @@ def run_stdio(server: AssessmentServer, stdin, stdout) -> int:
         if not line.strip():
             continue
         reply = server.handle_line(line)
-        stdout.write(encode_reply(reply))
+        stdout.write(_encode(server, reply))
         stdout.flush()
         served += 1
         if server.closing:
@@ -534,8 +641,7 @@ def run_tcp(server: AssessmentServer, host: str, port: int,
                 if not line.strip():
                     continue
                 reply = server.handle_line(line)
-                self.wfile.write(
-                    encode_reply(reply).encode("utf-8"))
+                self.wfile.write(_encode(server, reply).encode("utf-8"))
                 self.wfile.flush()
                 if server.closing:
                     tcp_server.shutdown()

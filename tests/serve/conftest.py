@@ -1,11 +1,18 @@
 """Shared serve fixtures: tiny on-disk source trees."""
 
+import json
 import os
 
 import pytest
 
 CLEAN = "int add(int a, int b) { return a + b; }\n"
 GOTO = "int f() { goto end; end: return 1; }\n"
+
+
+def plain(reply):
+    """What plain ``json.dumps`` writes for ``reply``: the bytes every
+    served reply line must be."""
+    return json.dumps(reply, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write(root, relative, text):

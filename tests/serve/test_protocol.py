@@ -11,6 +11,9 @@ from repro.serve import (
     error_reply,
     parse_request,
 )
+from repro.serve.protocol import FindingsBody, canonical
+
+from .conftest import plain
 
 
 class TestParseRequest:
@@ -64,3 +67,38 @@ class TestEncoding:
     def test_encode_round_trips(self):
         reply = {"id": 1, "ok": True, "findings": ["a", "b"]}
         assert json.loads(encode_reply(reply)) == reply
+
+
+class TestSplicedFindings:
+    FINDINGS = {"casts": ["a.cc:1: [C1] cast", 'b.cc:2: [C2] "q" \u00e9'],
+                "naming": []}
+
+    def body(self):
+        text = canonical(self.FINDINGS)
+        middle = text.index("],") + 1
+        return FindingsBody(self.FINDINGS, [text[:middle], text[middle:]])
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"id": 1, "ok": True},
+        {"finding": 0, "findingz": [1, {"b": 2, "a": 1}]},
+        {"degraded": False, "seconds": 0.25, "verdicts": {"n": 1, "a": 0}},
+    ])
+    def test_reply_with_a_body_is_plain_json_dumps(self, extra):
+        reply = {**extra, "findings": self.body()}
+        assert encode_reply(reply) == plain(reply)
+        assert json.loads(encode_reply(reply))["findings"] == \
+            self.FINDINGS
+
+    @pytest.mark.parametrize("reply", [
+        {"id": 2, "ok": True, "pong": True},
+        {"id": 3, "ok": True,
+         "findings": {"new": ["x"], "fixed": [], "rules_changed": []}},
+    ])
+    def test_reply_without_a_body_is_plain_json_dumps(self, reply):
+        assert encode_reply(reply) == plain(reply)
+
+    def test_body_text_is_spliced_not_reencoded(self):
+        reply = {"ok": True,
+                 "findings": FindingsBody({}, ['{"kept"', ":[]}"])}
+        assert encode_reply(reply) == '{"findings":{"kept":[]},"ok":true}\n'

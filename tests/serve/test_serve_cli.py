@@ -38,6 +38,15 @@ class TestArgumentValidation:
     def test_rejects_nonpositive_numbers(self, tree, capsys, flags):
         assert main([tree, *flags]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_interval_exits_2(self, tree, capsys, value):
+        assert main([tree, "--watch", tree, "--iterations", "1",
+                     "--interval", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"--interval must be a positive number, got {value}\n"
+
     def test_negative_jobs_rejected_at_startup(self, tree, monkeypatch,
                                                capsys):
         monkeypatch.setattr(

@@ -18,9 +18,10 @@ from repro.checkers.base import Checker, CheckerReport, Finding
 from repro.core import AssessmentPipeline, PipelineConfig
 from repro.corpus.writer import read_tree
 from repro.rules import RuleProfile, Severity
-from repro.serve import AssessmentServer
+from repro.serve import AssessmentServer, encode_reply
 from repro.store import Store
 
+from .conftest import plain
 from .test_server import stable
 
 #: Every edit kind the fold has a distinct path for.
@@ -171,6 +172,7 @@ def assert_reply_equal(reply, root: str, expected, profile):
     """``reply`` equals a fresh daemon's first reply, and its findings
     body the one-shot result's findings, formatted directly."""
     fresh = AssessmentServer(root, profile=profile).assess(root)
+    assert encode_reply(reply) == plain(reply)
     assert stable(reply) == stable(fresh)
     assert reply["findings"] == {
         name: sorted(finding.located() for finding in report.findings)

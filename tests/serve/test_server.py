@@ -4,16 +4,24 @@ import io
 import json
 import os
 import pickle
+import queue
+import socket
+import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import MemoryCache
 from repro.rules import REGISTRY, RuleProfile
-from repro.serve import AssessmentServer, encode_reply, run_stdio
+from repro.serve import AssessmentServer, encode_reply, run_stdio, \
+    run_tcp
+from repro.serve.protocol import canonical
+from repro.serve.server import _merge_runs
 from repro.store import Store
 from repro.testing import Fault, FaultPlan, FaultyChecker
 
-from .conftest import CLEAN, GOTO, write
+from .conftest import CLEAN, GOTO, plain, write
 
 #: Reply keys that legitimately differ between two identical assesses.
 VOLATILE = ("seconds", "cache", "run", "id")
@@ -85,6 +93,24 @@ class TestAssessVerb:
         reply = server.handle_line('{"verb": "assess"}')
         assert reply["ok"] is False
         assert "no C/C++/CUDA sources" in reply["error"]
+
+    @pytest.mark.parametrize("refresh", ["false", [], 0, None])
+    def test_non_boolean_refresh_is_a_request_error(self, tree, refresh):
+        server = AssessmentServer(tree)
+        reply = server.handle_line(json.dumps(
+            {"id": 2, "verb": "assess", "refresh": refresh}))
+        assert reply["ok"] is False
+        assert reply["error"] == "assess refresh must be true or false"
+        assert server.handle_line('{"verb": "stats"}')["roots"] == {}
+
+    def test_refresh_false_skips_the_poll(self, tree):
+        server = AssessmentServer(tree)
+        first = assess(server)
+        write(tree, "clean.cpp", GOTO + CLEAN)
+        stale = assess(server, refresh=False)
+        assert stale["cache"]["misses"] == 0
+        assert stable(stale) == stable(first)
+        assert assess(server, refresh=True)["cache"]["misses"] > 0
 
     def test_profile_shapes_served_findings(self, tree):
         profile = RuleProfile(disable=("UD9.*",))
@@ -247,6 +273,9 @@ class TestOtherVerbs:
         assert latency["assess"]["count"] == 3
         for verb in latency.values():
             assert 0 <= verb["p50_ms"] <= verb["p90_ms"] <= verb["max_ms"]
+        # served in-process: no transport encoded a reply
+        assert reply["reply_encode"] == {"count": 0, "p50_ms": 0.0,
+                                         "p90_ms": 0.0, "max_ms": 0.0}
         parts = reply["project_parts"]
         # cold: everything computed; no-op: everything shared; edit:
         # the edited module, every checker report and the verdicts
@@ -406,3 +435,113 @@ class TestStdioLoop:
         assert len(lines) == 2
         assert json.loads(lines[0])["pong"] is True
         assert json.loads(lines[1])["closing"] is True
+
+    def test_replies_are_plain_json_and_encoding_is_timed(self, tree):
+        server = AssessmentServer(tree)
+        stdin = io.StringIO(
+            '{"id": 1, "verb": "assess"}\n'
+            '{"id": 2, "verb": "assess"}\n'
+            '{"id": 3, "verb": "stats"}\n')
+        stdout = io.StringIO()
+        assert run_stdio(server, stdin, stdout) == 3
+        lines = stdout.getvalue().splitlines(keepends=True)
+        for line in lines:
+            assert line == plain(json.loads(line))
+        encoded = json.loads(lines[2])["reply_encode"]
+        # the stats reply is encoded after it is built
+        assert encoded["count"] == 2
+        assert 0 <= encoded["p50_ms"] <= encoded["p90_ms"] \
+            <= encoded["max_ms"]
+        assert server.reply_encode.count == 3
+
+
+class TestTcpLoop:
+    def test_replies_are_plain_json_and_encoding_is_timed(self, tree):
+        server = AssessmentServer(tree)
+        bound = queue.Queue()
+        thread = threading.Thread(
+            target=run_tcp, args=(server, "127.0.0.1", 0),
+            kwargs={"ready": bound.put}, daemon=True)
+        thread.start()
+        with socket.create_connection(bound.get(timeout=10),
+                                      timeout=30) as connection:
+            stream = connection.makefile("rwb")
+            lines = []
+            for verb in ("assess", "stats", "shutdown"):
+                stream.write(json.dumps({"verb": verb}).encode() + b"\n")
+                stream.flush()
+                lines.append(stream.readline().decode("utf-8"))
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        for line in lines:
+            assert line == plain(json.loads(line))
+        assert json.loads(lines[1])["reply_encode"]["count"] == 1
+        assert server.reply_encode.count == 3
+
+
+class TestSplicedWireBytes:
+    """The findings body is spliced from kept per-file fragments; the
+    reply bytes must still be plain ``json.dumps`` of the reply."""
+
+    @staticmethod
+    def served(server):
+        reply = assess(server)
+        assert encode_reply(reply) == plain(reply)
+        return reply
+
+    def test_interleaved_runs(self, tmp_path):
+        """``m/x.cc:2.cc``'s findings sort between ``m/x.cc``'s."""
+        root = tmp_path / "tree"
+        write(root, "m/x.cc", GOTO + CLEAN + GOTO.replace("f(", "h("))
+        write(root, "m/x.cc:2.cc", GOTO)
+        server = AssessmentServer(str(root))
+        located = self.served(server)["findings"]["unit_design"]
+        files = [finding.split(":")[1] for finding in located]
+        assert files.index("1") < files.index("2.cc") < files.index("3")
+        write(root, "m/x.cc:2.cc", GOTO + GOTO.replace("f(", "g("))
+        self.served(server)
+        self.served(server)  # reused no-op
+        write(root, "m/x.cc", CLEAN)
+        self.served(server)
+
+    def test_project_finding_inside_a_run(self, tmp_path):
+        """A call-graph cycle is found at project level; its finding on
+        ``m/a.cc`` line 1 sorts inside ``m/a.cc``'s own run."""
+        root = tmp_path / "tree"
+        write(root, "m/a.cc",
+              "int a1(int a) { goto done; done: return b1(a); }\n"
+              "int a2(int a) { if (a) { return 0; } return a; }\n")
+        write(root, "m/b.cc", "int b1(int a) { return a1(a); }\n")
+        server = AssessmentServer(str(root))
+        located = self.served(server)["findings"]["unit_design"]
+        cycle = [index for index, finding in enumerate(located)
+                 if finding.startswith("m/a.cc:1: [UD10.recursion]")]
+        assert cycle and 0 < cycle[0] < len(located) - 1
+        assert located[cycle[0] + 1].startswith("m/a.cc:")
+        write(root, "m/b.cc", "int b1(int a) { return a1(a) + 1; }\n")
+        self.served(server)
+        self.served(server)
+
+
+class TestMergeRuns:
+    @given(runs=st.lists(st.lists(st.text("ab:", max_size=3), min_size=1,
+                                  max_size=4).map(sorted), max_size=5),
+           fresh=st.lists(st.text("ab:", max_size=3),
+                          max_size=4).map(sorted))
+    def test_merge_equals_a_full_sort(self, runs, fresh):
+        kept = [(run[0], run[-1], run, canonical(run)[1:-1])
+                for run in runs]
+        pieces = []
+        located = _merge_runs(kept, fresh, pieces)
+        everything = sorted(fresh + [s for run in runs for s in run])
+        assert located == everything
+        assert "[" + "".join(pieces) + "]" == canonical(everything)
+
+    def test_apart_runs_are_spliced_whole(self):
+        second = ("c", "d", ["c", "d"], '"c","d"')
+        first = ("a", "b", ["a", "b"], '"a","b"')
+        pieces = []
+        located = _merge_runs([second, first], ["bb", "e"], pieces)
+        assert located == ["a", "b", "bb", "c", "d", "e"]
+        assert pieces == [first[3], ",", '"bb"', ",", second[3], ",",
+                          '"e"']

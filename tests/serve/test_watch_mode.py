@@ -2,9 +2,10 @@
 
 import os
 
-from repro.serve import AssessmentServer, finding_diff, watch_events
+from repro.serve import AssessmentServer, encode_reply, finding_diff, \
+    watch_events
 
-from .conftest import CLEAN, GOTO, write
+from .conftest import CLEAN, GOTO, plain, write
 
 
 def run_watch(server, root, edits, iterations=None):
@@ -55,6 +56,15 @@ class TestWatchLoop:
         assert all("clean.cpp" in finding
                    for finding in update["finding_diff"]["fixed"])
         assert "improved" in update["diff"]  # verdict-level rollup
+
+    def test_update_event_bytes_are_plain_json(self, tree):
+        events = run_watch(
+            AssessmentServer(tree), tree,
+            [lambda: write(tree, "clean.cpp", GOTO + CLEAN)])
+        assert [event["event"] for event in events] == \
+            ["baseline", "update"]
+        for event in events:
+            assert encode_reply(event) == plain(event)
 
     def test_update_computes_its_finding_diff_once(self, tree,
                                                    monkeypatch):
