@@ -26,8 +26,6 @@ from ..errors import (
     RuleError,
 )
 from ..obs import (
-    LEVELS,
-    EventLog,
     Tracer,
     render_hotspots,
     render_profile,
@@ -40,7 +38,7 @@ from ..report import (
     build_report_model,
     configured_reporters,
 )
-from ..rules import REGISTRY, Baseline, profile_from_globs, render_rules
+from ..rules import Baseline, render_rules
 from ..store import (
     Store,
     build_run_record,
@@ -48,7 +46,7 @@ from ..store import (
     merge_into,
     new_run_id,
 )
-from .config import PipelineConfig
+from .config import add_pipeline_options, pipeline_config_from_args
 from .diff import diff_assessments, gap_reduction, load_assessment_view
 from .pipeline import AssessmentPipeline
 
@@ -103,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cobertura", metavar="FILE",
                         help="also write the YOLO coverage experiment "
                              "as Cobertura XML")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the parse/checker "
-                             "fan-out (default 1 = serial, 0 = one per "
-                             "CPU); results are identical at any "
-                             "setting")
     parser.add_argument("--store", metavar="DIR",
                         help="sharded content-addressed result store: "
                              "caches parse/checker results under "
@@ -134,17 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "object area) into --store before "
                              "assessing, so its results are reused "
                              "(repeatable; sources are only read)")
-    parser.add_argument("--strict", action="store_true",
-                        help="abort on the first internal fault "
-                             "(checker crash, parser bug) instead of "
-                             "containing it; without this flag a "
-                             "faulted run completes degraded and "
-                             "exits 3")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-task deadline for --jobs > 1; a "
-                             "task exceeding it is abandoned and its "
-                             "chunk recomputed serially")
     parser.add_argument("--plan", action="store_true",
                         help="print the prioritized remediation plan")
     parser.add_argument("--experiments", action="store_true",
@@ -164,14 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the registered rules (id, checker, "
                              "default severity, ISO 26262 topic) and "
                              "exit")
-    parser.add_argument("--enable", action="append", metavar="GLOB",
-                        default=None,
-                        help="enable only rules matching GLOB "
-                             "(repeatable; default: all rules)")
-    parser.add_argument("--disable", action="append", metavar="GLOB",
-                        default=None,
-                        help="disable rules matching GLOB (repeatable; "
-                             "applied after --enable)")
     parser.add_argument("--baseline", metavar="FILE",
                         help="finding baseline to compare against; the "
                              "summary then reports only new findings")
@@ -187,14 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the telemetry document (spans, "
                              "counters, histograms, Chrome trace events) "
                              "as JSON")
-    parser.add_argument("--log-json", metavar="FILE",
-                        help="write structured JSONL events (parse "
-                             "failures, checker crashes, worker "
-                             "faults, cache corruption) to FILE")
-    parser.add_argument("--log-level", choices=tuple(LEVELS),
-                        default=None,
-                        help="minimum level written to --log-json "
-                             "(default info)")
+    add_pipeline_options(parser)
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {_package_version()}")
     return parser
@@ -215,17 +182,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("--top has no effect without --profile",
                   file=sys.stderr)
             return 2
-    if args.log_level is not None and not args.log_json:
-        print("--log-level has no effect without --log-json",
-              file=sys.stderr)
-        return 2
     if args.corpus is None and args.path is None:
         parser.error("give a source tree path or --corpus SCALE")
-    try:
-        profile = profile_from_globs(args.enable, args.disable, REGISTRY)
-    except RuleError as error:
-        print(str(error), file=sys.stderr)
-        return 2
     baseline = None
     if args.baseline:
         try:
@@ -253,22 +211,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracer = Tracer() if telemetry or store is not None else None
     cache = (store.object_store(shard=_shard_name(args.shard))
              if store is not None and not args.no_cache else None)
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        print(f"--task-timeout must be positive, got {args.task_timeout}",
-              file=sys.stderr)
-        return 2
     run_id = new_run_id()
-    log_handle = None
-    event_log = None
-    if args.log_json:
-        try:
-            log_handle = open(args.log_json, "w", encoding="utf-8")
-        except OSError as error:
-            print(f"cannot open event log: {error}", file=sys.stderr)
-            return 2
-        event_log = EventLog(log_handle,
-                             level=args.log_level or "info",
-                             run_id=run_id)
+    try:
+        config, log_handle = pipeline_config_from_args(
+            args, run_id=run_id, tracer=tracer, cache=cache,
+            shard=args.shard, baseline=baseline)
+    except (ConfigError, RuleError) as error:
+        print(str(error), file=sys.stderr)
+        return 2
     try:
         # Sources are read *after* the event log exists, so per-file
         # skips (a file vanishing or turning unreadable mid-walk) are
@@ -285,7 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             sources = corpus.sources()
         else:
             try:
-                sources = read_tree(args.path, log=event_log)
+                sources = read_tree(args.path, log=config.log)
             except CorpusError as error:
                 print(f"cannot read source tree: {error}",
                       file=sys.stderr)
@@ -305,26 +255,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"merged {len(args.merge_from)} source(s) into "
                   f"{args.store} ({stats.objects_added} objects, "
                   f"{stats.runs_added} runs added)")
-        return _assess(args, sources, profile, baseline, tracer,
-                       cache, event_log, run_id, store)
+        return _assess(args, sources, config, run_id, store)
     finally:
         if log_handle is not None:
             log_handle.close()
 
 
-def _assess(args, sources, profile, baseline, tracer, cache,
-            event_log, run_id, store=None) -> int:
-    """Build and run the pipeline, print every report, and (when
-    store-backed) append the run's manifest to the store."""
-    try:
-        pipeline = AssessmentPipeline(PipelineConfig(
-            tracer=tracer, log=event_log, jobs=args.jobs,
-            cache=cache, shard=args.shard, rules=profile,
-            baseline=baseline, strict=args.strict,
-            task_timeout=args.task_timeout))
-    except ConfigError as error:
-        print(f"bad pipeline configuration: {error}", file=sys.stderr)
-        return 2
+def _assess(args, sources, config, run_id, store=None) -> int:
+    """Run the pipeline, print every report, and (when store-backed)
+    append the run's manifest to the store."""
+    tracer, cache = config.tracer, config.cache
+    pipeline = AssessmentPipeline(config)
     # Under --strict a contained fault is not contained: the original
     # exception (and traceback) propagates out of run(), aborting here.
     start = time.perf_counter()
@@ -392,7 +333,7 @@ def _assess(args, sources, profile, baseline, tracer, cache,
     # and error prefixes, so --json/--markdown stay byte-identical.
     if targets.any():
         model = build_report_model(
-            result, sources, module_of=pipeline.config.module_of,
+            result, sources, module_of=config.module_of,
             coverage=campaign, tracer=tracer,
             history=store.history() if store is not None else None)
         for reporter, destination in configured_reporters(targets):
@@ -412,7 +353,7 @@ def _assess(args, sources, profile, baseline, tracer, cache,
     if store is not None:
         record = build_run_record(
             result, run_id=run_id, duration=duration,
-            exit_code=exit_code, config=pipeline.config,
+            exit_code=exit_code, config=config,
             tracer=tracer, cache=cache,
             # A shard run's manifest describes its slice, not the full
             # input (the default counts what was actually assessed).
@@ -431,7 +372,7 @@ def _assess(args, sources, profile, baseline, tracer, cache,
             return 2
         print(f"{trailer}run {run_id} recorded to {store_path}")
         trailer = ""
-    if event_log is not None:
+    if config.log is not None:
         print(f"{trailer}event log written to {args.log_json}")
     return exit_code
 

@@ -76,7 +76,6 @@ from ..checkers.misra import MisraChecker
 from ..checkers.naming import NamingChecker
 from ..checkers.style import StyleChecker
 from ..checkers.unitdesign import UnitDesignChecker
-from ..errors import ConfigError
 from ..iso26262.asil import Asil
 from ..iso26262.compliance import (
     ComplianceEngine,
@@ -92,7 +91,7 @@ from ..metrics.report import ModuleMetrics, measure_module
 from ..obs import NULL_LOG, NULL_TRACER, EventLog, Span, Tracer
 from .assessment import AssessmentResult
 from .cache import CACHE_MISS, CHECK_TAG, PARSE_TAG
-from .config import PipelineConfig
+from .config import PipelineConfig, parse_shard_spec
 from .parallel import (
     Bundle,
     ParseOutcome,
@@ -104,28 +103,6 @@ from .parallel import (
     run_tasks,
     worker_count,
 )
-
-
-def parse_shard_spec(spec: Optional[str]) -> Optional[Tuple[int, int]]:
-    """Validate a ``"K/N"`` shard slice into ``(K, N)``.
-
-    ``K`` is 1-based; ``1 <= K <= N``.  ``None`` (and ``"1/1"``'s
-    degenerate cousins) mean "the whole corpus".  Raises
-    :class:`~repro.errors.ConfigError` on anything else, so a bad
-    ``--shard`` fails before any work starts.
-    """
-    if spec is None:
-        return None
-    head, separator, tail = spec.partition("/")
-    if (not separator or not head.strip().isdigit()
-            or not tail.strip().isdigit()):
-        raise ConfigError(
-            f"shard must look like K/N (e.g. 2/4), got {spec!r}")
-    index, count = int(head), int(tail)
-    if count < 1 or not 1 <= index <= count:
-        raise ConfigError(
-            f"shard K/N needs 1 <= K <= N, got {spec!r}")
-    return index, count
 
 
 def shard_slice(paths: List[str], shard: Optional[Tuple[int, int]]
@@ -233,10 +210,10 @@ class AssessmentPipeline:
         self.log: EventLog = (self.config.log
                               if self.config.log is not None
                               else NULL_LOG)
-        #: Resolved worker-process count; the configuration is
-        #: validated eagerly so a bad one fails before any work starts.
+        #: Resolved worker-process count (the config is valid by
+        #: construction).
         self.jobs = worker_count(self.config.jobs)
-        #: Validated ``(K, N)`` corpus slice, or ``None`` for all files.
+        #: ``(K, N)`` corpus slice, or ``None`` for all files.
         self.shard = parse_shard_spec(self.config.shard)
         if self.config.cache is not None:
             self.config.cache.attach(self.tracer.metrics, self.log)

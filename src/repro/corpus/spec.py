@@ -9,6 +9,7 @@ corpus while benchmarks regenerate the full-size one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -116,8 +117,9 @@ class CorpusSpec:
         names = [module.name for module in self.modules]
         if len(set(names)) != len(names):
             raise CorpusError("duplicate module names in corpus spec")
-        if self.scale <= 0:
-            raise CorpusError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise CorpusError(f"scale must be a finite number > 0, got "
+                              f"{self.scale}")
 
     def effective_modules(self) -> List[ModuleSpec]:
         """Module specs with the scale factor applied."""

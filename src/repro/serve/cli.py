@@ -20,9 +20,8 @@ import math
 import sys
 from typing import List, Optional
 
-from ..errors import ReproError, ServeError
-from ..obs import LEVELS, EventLog
-from ..rules import REGISTRY, profile_from_globs
+from ..core.config import add_pipeline_options, pipeline_config_from_args
+from ..errors import ConfigError, ReproError, RuleError, ServeError
 from ..store import Store, new_run_id
 from .protocol import encode_reply
 from .server import AssessmentServer, run_stdio, run_tcp
@@ -61,32 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "manifest for repro-trends (default: a "
                              "process-private in-memory cache and no "
                              "run history)")
-    parser.add_argument("--enable", action="append", metavar="GLOB",
-                        default=None,
-                        help="enable only rules matching GLOB "
-                             "(repeatable)")
-    parser.add_argument("--disable", action="append", metavar="GLOB",
-                        default=None,
-                        help="disable rules matching GLOB (repeatable; "
-                             "applied after --enable)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for each assessment's "
-                             "fan-out (default 1 = serial)")
-    parser.add_argument("--strict", action="store_true",
-                        help="re-raise contained faults instead of "
-                             "degrading the affected reply (debugging "
-                             "aid; a strict fault kills the daemon)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-task deadline for --jobs > 1")
-    parser.add_argument("--log-json", metavar="FILE",
-                        help="write structured JSONL events (requests, "
-                             "skipped files, contained crashes) to "
-                             "FILE")
-    parser.add_argument("--log-level", choices=tuple(LEVELS),
-                        default=None,
-                        help="minimum level written to --log-json "
-                             "(default info)")
+    add_pipeline_options(parser)
     return parser
 
 
@@ -119,17 +93,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"--iterations must be >= 0, got {args.iterations}",
               file=sys.stderr)
         return 2
-    if args.jobs < 0:
-        print(f"--jobs must be >= 0, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        print(f"--task-timeout must be positive, got "
-              f"{args.task_timeout}", file=sys.stderr)
-        return 2
-    if args.log_level is not None and not args.log_json:
-        print("--log-level has no effect without --log-json",
-              file=sys.stderr)
-        return 2
     endpoint = None
     if args.tcp:
         try:
@@ -138,28 +101,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(str(error), file=sys.stderr)
             return 2
     try:
-        profile = profile_from_globs(args.enable, args.disable,
-                                     REGISTRY)
-    except ReproError as error:
+        config, log_handle = pipeline_config_from_args(
+            args, run_id=new_run_id())
+    except (ConfigError, RuleError) as error:
         print(str(error), file=sys.stderr)
         return 2
-    store = Store(args.store) if args.store else None
-    log_handle = None
-    event_log = None
-    if args.log_json:
-        try:
-            log_handle = open(args.log_json, "w", encoding="utf-8")
-        except OSError as error:
-            print(f"cannot open event log: {error}", file=sys.stderr)
-            return 2
-        event_log = EventLog(log_handle,
-                             level=args.log_level or "info",
-                             run_id=new_run_id())
-    server = AssessmentServer(
-        root, profile=profile, store=store, jobs=args.jobs,
-        strict=args.strict, task_timeout=args.task_timeout,
-        log=event_log)
     try:
+        store = Store(args.store) if args.store else None
+        server = AssessmentServer(root, config, store=store)
         if args.watch:
             return _watch(server, args)
         if endpoint is not None:

@@ -1,10 +1,11 @@
 """The long-lived assessment daemon behind ``repro-serve``.
 
-One :class:`AssessmentServer` process loads the rules profile and the
-result store once, then answers ``assess`` / ``diff`` / ``rules`` /
-``stats`` requests indefinitely, keeping the parse/check object cache
-hot in memory (:class:`~repro.core.cache.MemoryCache` by default, the
-store's shared object area under ``--store``).  A request costs what
+One :class:`AssessmentServer` process takes one
+:class:`~repro.core.config.PipelineConfig` and the result store once,
+then answers ``assess`` / ``diff`` / ``rules`` / ``stats`` requests
+indefinitely, keeping the parse/check object cache hot in memory
+(:class:`~repro.core.cache.MemoryCache` by default, the store's shared
+object area under ``--store``).  A request costs what
 changed, not the tree: every per-file stage of an unchanged file
 short-circuits to a content-addressed cache hit (its key memoized on
 the cache), and the project-level stages (metrics, checker finish,
@@ -41,6 +42,7 @@ import os
 import threading
 import time
 from bisect import bisect_left
+from dataclasses import replace
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -53,8 +55,8 @@ from ..core.diff import (
 )
 from ..core.pipeline import AssessmentPipeline
 from ..errors import ReproError, ServeError
-from ..obs import NULL_LOG, EventLog, Histogram, Tracer
-from ..rules import REGISTRY, RuleProfile
+from ..obs import NULL_LOG, Histogram, Tracer
+from ..rules import REGISTRY
 from ..store import ObjectStore, Store, build_run_record, new_run_id
 from .protocol import PROTOCOL_VERSION, VERBS, FindingsBody, canonical, \
     encode_reply, error_reply, parse_request
@@ -117,28 +119,25 @@ class _CacheDelta:
 class AssessmentServer:
     """Warm assessment state plus the verb dispatch table.
 
+    Every request runs under ``config`` (default
+    :class:`~repro.core.config.PipelineConfig`) with its ``cache`` and
+    ``tracer`` replaced by the server's hot cache and the request's
+    tracer, so a served verdict is the one-shot verdict of the same
+    configuration.
+
     Thread-safe: requests are serialized on an internal lock, so the
     TCP mode's per-connection threads share one hot cache without
     interleaving pipeline runs.
     """
 
-    def __init__(self, root: Optional[str] = None, *,
-                 profile: Optional[RuleProfile] = None,
-                 store: Optional[Store] = None,
-                 jobs: int = 1,
-                 strict: bool = False,
-                 task_timeout: Optional[float] = None,
-                 log: Optional[EventLog] = None,
-                 extra_checkers: tuple = ()) -> None:
-        self.log = log if log is not None else NULL_LOG
-        self.profile = profile
+    def __init__(self, root: Optional[str] = None,
+                 config: Optional[PipelineConfig] = None, *,
+                 store: Optional[Store] = None) -> None:
+        self.config = config or PipelineConfig()
+        self.log = self.config.log or NULL_LOG
         self.store = store
         self.cache = (store.object_store() if store is not None
                       else MemoryCache())
-        self.jobs = jobs
-        self.strict = strict
-        self.task_timeout = task_timeout
-        self.extra_checkers = extra_checkers
         self.default_root = os.path.abspath(root) if root else None
         self.watchers: Dict[str, TreeWatcher] = {}
         #: Latest and previous assessment per root (the diff operands).
@@ -255,15 +254,8 @@ class AssessmentServer:
         with self._lock:
             return self.watcher(root).poll()
 
-    def _config(self, tracer: Optional[Tracer]) -> PipelineConfig:
-        return PipelineConfig(
-            tracer=tracer, log=self.log, jobs=self.jobs,
-            cache=self.cache, rules=self.profile, strict=self.strict,
-            task_timeout=self.task_timeout,
-            extra_checkers=self.extra_checkers)
-
-    def _record_run(self, result, root: str, duration: float,
-                    tracer: Optional[Tracer], delta: _CacheDelta,
+    def _record_run(self, result, config: PipelineConfig,
+                    duration: float, delta: _CacheDelta,
                     files: int) -> Optional[str]:
         if self.store is None:
             return None
@@ -271,7 +263,7 @@ class AssessmentServer:
         record = build_run_record(
             result, run_id=run_id, duration=duration,
             exit_code=3 if result.degraded else 0,
-            config=self._config(tracer), tracer=tracer,
+            config=config, tracer=config.tracer,
             cache=delta, files=files)
         self.store.history().append(record)
         return run_id
@@ -288,6 +280,7 @@ class AssessmentServer:
         return {"closing": True}
 
     def _verb_rules(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        profile = self.config.rules
         rules = [{
             "id": rule.id,
             "title": rule.title,
@@ -295,8 +288,8 @@ class AssessmentServer:
             "checker": rule.checker,
             "table": rule.table,
             "topic": rule.topic,
-            "enabled": (self.profile.enabled(rule.id)
-                        if self.profile is not None else True),
+            "enabled": (profile.enabled(rule.id)
+                        if profile is not None else True),
         } for rule in sorted(REGISTRY, key=lambda rule: rule.id)]
         return {"rules": rules, "count": len(rules)}
 
@@ -350,7 +343,9 @@ class AssessmentServer:
             if not sources:
                 raise ServeError(
                     f"no C/C++/CUDA sources found under {root}")
-            tracer = Tracer() if self.store is not None else None
+            config = replace(
+                self.config, cache=self.cache,
+                tracer=Tracer() if self.store is not None else None)
             # Collect exactly the keys this assessment touches: the
             # memory cache retains them, and a store-backed run record
             # pins them.
@@ -358,7 +353,7 @@ class AssessmentServer:
             delta = _CacheDelta(self.cache)
             previous = self.results.get(root)
             start = time.perf_counter()
-            result = AssessmentPipeline(self._config(tracer)).run(
+            result = AssessmentPipeline(config).run(
                 sources, previous=previous)
             duration = time.perf_counter() - start
             self.assessments += 1
@@ -374,8 +369,8 @@ class AssessmentServer:
                 findings = self._findings_body(result)
                 self.findings[root] = findings
             self._retain_live(root)
-            run_id = self._record_run(result, root, duration, tracer,
-                                      delta, files=len(sources))
+            run_id = self._record_run(result, config, duration, delta,
+                                      files=len(sources))
             reply: Dict[str, Any] = {
                 "root": root,
                 "files": len(sources),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -120,8 +121,10 @@ def _gc(args) -> int:
         return 2
     for name, value in (("--max-age", args.max_age),
                         ("--max-size", args.max_size)):
-        if value is not None and value < 0:
-            print(f"{name} must be >= 0, got {value}", file=sys.stderr)
+        if value is not None and not (math.isfinite(value)
+                                      and value >= 0):
+            print(f"{name} must be >= 0 and finite, got {value}",
+                  file=sys.stderr)
             return 2
     stats = collect_garbage(Store(args.store),
                             max_age_days=args.max_age,

@@ -7,6 +7,7 @@ the synthetic Apollo corpus, plus the cache and pool primitives.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -111,6 +112,21 @@ class TestConfigValidation:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ConfigError):
             AssessmentPipeline(PipelineConfig(jobs=-1))
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"),
+                                         0, -1])
+    def test_bad_task_timeout_rejected_at_construction(self, timeout):
+        with pytest.raises(ConfigError, match="task_timeout"):
+            PipelineConfig(task_timeout=timeout)
+
+    @pytest.mark.parametrize("spec", ["3/2", "0/2", "x/2", "2", "1/2/3"])
+    def test_bad_shard_rejected_at_construction(self, spec):
+        with pytest.raises(ConfigError, match="shard"):
+            PipelineConfig(shard=spec)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigError, match="jobs"):
+            replace(PipelineConfig(), jobs=-2)
 
     def test_unknown_executor_rejected(self):
         for executor in ("fiber", "thread"):

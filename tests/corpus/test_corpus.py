@@ -65,6 +65,12 @@ class TestSpecs:
         with pytest.raises(CorpusError):
             CorpusSpec(modules=(module,), scale=0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(CorpusError, match="finite"):
+            apollo_spec(scale=scale)
+
     def test_apollo_calibration_sums_to_554(self):
         assert EXPECTED_OVER_TEN == 554
         assert sum(module.profile.over_ten

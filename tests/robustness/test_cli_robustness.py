@@ -102,7 +102,17 @@ class TestDegradedExitCode:
 
     def test_bad_task_timeout_exits_2(self, tree, capsys):
         assert main([tree, "--task-timeout", "0"]) == 2
-        assert "task-timeout" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "bad pipeline configuration: task_timeout must be a finite "
+            "number of seconds > 0, got 0.0\n")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_corpus_scale_exits_2(self, capsys, scale):
+        assert main(["--corpus", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"cannot generate corpus: scale must be "
+                                f"a finite number > 0, got {scale}\n")
 
 
 class TestFaultFreeByteIdentical:

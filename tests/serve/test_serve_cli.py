@@ -54,7 +54,8 @@ class TestArgumentValidation:
         assert main([tree, "--jobs", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "--jobs must be >= 0, got -1\n"
+        assert captured.err == \
+            "bad pipeline configuration: jobs must be >= 0, got -1\n"
 
     def test_bad_tcp_endpoint(self, tree, capsys):
         assert main([tree, "--tcp", "9026"]) == 2

@@ -6,6 +6,7 @@ over worker processes; the replies must not depend on that.
 
 import json
 
+from repro.core import PipelineConfig
 from repro.corpus import apollo_spec, generate_corpus
 from repro.serve import AssessmentServer, encode_reply
 
@@ -32,8 +33,8 @@ def test_pooled_replies_equal_serial(tmp_path):
     for path, text in sources.items():
         write(root, path, text)
     edited = sorted(sources)[0]
-    serial = AssessmentServer(str(root), jobs=1)
-    pooled = AssessmentServer(str(root), jobs=2)
+    serial = AssessmentServer(str(root), PipelineConfig(jobs=1))
+    pooled = AssessmentServer(str(root), PipelineConfig(jobs=2))
 
     cold = [assess(serial), assess(pooled)]
     write(root, edited, sources[edited] + GOTO)

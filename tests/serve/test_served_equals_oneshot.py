@@ -163,15 +163,15 @@ class Tree:
         self._write(path)
 
 
-def oneshot(root: str, profile, extra_checkers=()):
-    return AssessmentPipeline(PipelineConfig(
-        rules=profile, extra_checkers=extra_checkers)).run(read_tree(root))
+def oneshot(root: str, config: PipelineConfig):
+    return AssessmentPipeline(config).run(read_tree(root))
 
 
-def assert_reply_equal(reply, root: str, expected, profile):
-    """``reply`` equals a fresh daemon's first reply, and its findings
-    body the one-shot result's findings, formatted directly."""
-    fresh = AssessmentServer(root, profile=profile).assess(root)
+def assert_reply_equal(reply, root: str, expected, config):
+    """``reply`` equals a fresh daemon's first reply under the same
+    ``config``, and its findings body the one-shot result's findings,
+    formatted directly."""
+    fresh = AssessmentServer(root, config).assess(root)
     assert encode_reply(reply) == plain(reply)
     assert stable(reply) == stable(fresh)
     assert reply["findings"] == {
@@ -208,14 +208,14 @@ def test_served_equals_oneshot_after_every_edit(edits, profile):
     scratch = tempfile.mkdtemp()
     try:
         tree = Tree(os.path.join(scratch, "tree"))
-        server = AssessmentServer(tree.root, profile=PROFILES[profile])
+        config = PipelineConfig(rules=PROFILES[profile])
+        server = AssessmentServer(tree.root, config)
         server.assess(tree.root)
         for kind, pick in edits:
             tree.apply(kind, pick)
             reply = server.assess(tree.root)
-            expected = oneshot(tree.root, PROFILES[profile])
-            assert_reply_equal(reply, tree.root, expected,
-                               PROFILES[profile])
+            expected = oneshot(tree.root, config)
+            assert_reply_equal(reply, tree.root, expected, config)
             assert_parts_equal(server.results[tree.root], expected)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -229,13 +229,14 @@ def test_store_backed_server_equals_oneshot(edits):
     try:
         tree = Tree(os.path.join(scratch, "tree"))
         store = Store(os.path.join(scratch, "store"))
-        server = AssessmentServer(tree.root, store=store)
+        config = PipelineConfig()
+        server = AssessmentServer(tree.root, config, store=store)
         server.assess(tree.root)
         for kind, pick in edits:
             tree.apply(kind, pick)
             reply = server.assess(tree.root)
-            expected = oneshot(tree.root, None)
-            assert_reply_equal(reply, tree.root, expected, None)
+            expected = oneshot(tree.root, config)
+            assert_reply_equal(reply, tree.root, expected, config)
             assert_parts_equal(server.results[tree.root], expected)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -282,13 +283,13 @@ def test_project_checker_without_fold_refolds_across_an_edit():
     scratch = tempfile.mkdtemp()
     try:
         tree = Tree(os.path.join(scratch, "tree"))
-        census = (_FunctionCensus(),)
-        server = AssessmentServer(tree.root, extra_checkers=census)
+        config = PipelineConfig(extra_checkers=(_FunctionCensus(),))
+        server = AssessmentServer(tree.root, config)
         server.assess(tree.root)
         tree.apply("add_function", 0)
         reply = server.assess(tree.root)
         served = server.results[tree.root]
-        expected = oneshot(tree.root, None, census)
+        expected = oneshot(tree.root, config)
         assert not reply["degraded"]
         assert not served.degraded
         assert served.reports["function_census"].partials is None

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import MemoryCache
+from repro.core import MemoryCache, PipelineConfig
 from repro.rules import REGISTRY, RuleProfile
 from repro.serve import AssessmentServer, encode_reply, run_stdio, \
     run_tcp
@@ -114,7 +114,7 @@ class TestAssessVerb:
 
     def test_profile_shapes_served_findings(self, tree):
         profile = RuleProfile(disable=("UD9.*",))
-        server = AssessmentServer(tree, profile=profile)
+        server = AssessmentServer(tree, PipelineConfig(rules=profile))
         reply = assess(server)
         assert not any("UD9.goto" in finding
                        for findings in reply["findings"].values()
@@ -124,8 +124,8 @@ class TestAssessVerb:
 class TestContainment:
     def test_checker_crash_degrades_one_reply_not_the_daemon(self, tree):
         plan = FaultPlan(faults=[Fault("raise", path="dirty.cpp")])
-        server = AssessmentServer(
-            tree, extra_checkers=(FaultyChecker(plan),))
+        server = AssessmentServer(tree, PipelineConfig(
+            extra_checkers=(FaultyChecker(plan),)))
         reply = assess(server)
         assert reply["degraded"] is True
         assert any("fault_injector" in note
@@ -245,8 +245,8 @@ class TestOtherVerbs:
         assert all(rule["enabled"] for rule in reply["rules"])
 
     def test_rules_reflect_profile(self, tree):
-        server = AssessmentServer(
-            tree, profile=RuleProfile(disable=("UD9.*",)))
+        server = AssessmentServer(tree, PipelineConfig(
+            rules=RuleProfile(disable=("UD9.*",))))
         reply = server.handle_line('{"verb": "rules"}')
         disabled = [rule["id"] for rule in reply["rules"]
                     if not rule["enabled"]]
@@ -362,8 +362,8 @@ class TestProjectReuse:
 
     def test_degraded_previous_is_never_reused(self, tree):
         plan = FaultPlan(faults=[Fault("raise", path="dirty.cpp")])
-        server = AssessmentServer(
-            tree, extra_checkers=(FaultyChecker(plan),))
+        server = AssessmentServer(tree, PipelineConfig(
+            extra_checkers=(FaultyChecker(plan),)))
         assert assess(server)["degraded"] is True
         clean = assess(server)  # same tree; the one-shot plan is spent
         assert clean["degraded"] is False

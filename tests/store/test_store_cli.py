@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.store import ObjectStore, RunHistory, RunRecord, Store
 from repro.store.cli import main
 
@@ -73,6 +75,20 @@ class TestGcCommand:
     def test_gc_rejects_negative_bounds(self, tmp_path, capsys):
         assert main(["gc", str(tmp_path), "--max-age", "-1"]) == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-age", "--max-size"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gc_rejects_non_finite_bounds(self, tmp_path, capsys, flag,
+                                          value):
+        root = str(tmp_path / "store")
+        area = ObjectStore(Store(root).objects_root)
+        area.put(ObjectStore.key_for("t", "a.cc", "s"), "payload")
+        assert main(["gc", root, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{flag} must be >= 0 and finite, got " \
+                               f"{value}\n"
+        assert len(list(area.entries())) == 1
 
     def test_gc_dry_run_reports(self, tmp_path, capsys):
         root = str(tmp_path / "store")
