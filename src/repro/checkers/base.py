@@ -29,9 +29,11 @@ starting from nothing.  What the fold needs beyond the report rides on
 from __future__ import annotations
 
 import traceback as traceback_module
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from operator import attrgetter
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from ..engine.index import function_line_index
 from ..engine.interests import UnitSweep
@@ -54,6 +56,7 @@ __all__ = [
     "Checker",
     "CheckerCrash",
     "CheckerReport",
+    "DeferredList",
     "Finding",
     "ProjectChange",
     "ProjectDelta",
@@ -61,6 +64,8 @@ __all__ = [
     "RuleView",
     "Severity",
     "StatTally",
+    "UnitLayout",
+    "UnitMerge",
     "crash_report",
     "enclosing_function_name",
     "finish_checkers",
@@ -326,6 +331,30 @@ class StatTally(NamedTuple):
                 if key not in floats}
 
 
+class UnitLayout(NamedTuple):
+    """Where each per-unit report sits in a merged project report: per
+    unit, in unit order, how many findings, suppressed findings and
+    crashes it contributed.  The per-unit part of each list is these
+    segments back to back, so a fold copies the unchanged units' runs
+    as slices (see :meth:`Checker.merge_units`)."""
+
+    findings: Tuple[int, ...]
+    suppressed: Tuple[int, ...]
+    crashes: Tuple[int, ...]
+
+
+#: The :class:`CheckerReport` lists a :class:`UnitLayout` describes.
+_LAYOUT_FIELDS = ("findings", "suppressed", "crashes")
+
+
+class UnitMerge(NamedTuple):
+    """What :meth:`Checker.merge_units` merged: the per-unit reports'
+    :class:`StatTally` and the merged report's :class:`UnitLayout`."""
+
+    tally: StatTally
+    layout: UnitLayout
+
+
 class ReportPartials(NamedTuple):
     """What a project report was folded from.
 
@@ -338,12 +367,44 @@ class ReportPartials(NamedTuple):
         tally: the per-unit reports' :class:`StatTally` (``None`` for
             a project-level checker).
         extra: the checker's own project-level partials.
+        layout: the per-unit reports' :class:`UnitLayout` (``None`` for
+            a project-level checker).
     """
 
     rule_counts: Dict[str, int]
     unit_findings: int = 0
     tally: Optional[StatTally] = None
     extra: Any = None
+    layout: Optional[UnitLayout] = None
+
+
+class DeferredList(Sequence):
+    """A list built by ``build`` on first read.
+
+    The fold hands a checker its per-unit reports this way: a fold
+    reads only the changed files' reports, so the O(files) list is
+    built only when something (a fold-free merge, :meth:`Checker.
+    settle`'s float stats, an override) actually reads it.
+    """
+
+    def __init__(self, build: Callable[[], List[Any]]) -> None:
+        self._build: Optional[Callable[[], List[Any]]] = build
+        self._items: List[Any] = []
+
+    def _list(self) -> List[Any]:
+        if self._build is not None:
+            self._items = self._build()
+            self._build = None
+        return self._items
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __len__(self) -> int:
+        return len(self._list())
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._list())
 
 
 #: One file's side of a fold: its summary and, for a per-unit checker,
@@ -362,12 +423,14 @@ class ProjectDelta(NamedTuple):
     ``removed`` holds the old side of every changed or removed file,
     ``added`` the new side of every changed or added file, each in path
     order.  A file that stopped (or started) parsing appears on one
-    side only.
+    side only.  ``order`` lists the previous run's unit paths in unit
+    order, which the previous report's :class:`UnitLayout` follows.
     """
 
     previous: CheckerReport
     removed: Sequence[FoldedUnit]
     added: Sequence[FoldedUnit]
+    order: Sequence[str] = ()
 
     def paths(self) -> set:
         """Every changed, added or removed path."""
@@ -388,12 +451,14 @@ class ProjectDelta(NamedTuple):
 
 class ProjectChange(NamedTuple):
     """What :func:`finish_checkers` folds: the previous run's project
-    reports and the ``(summary, bundle)`` of every changed file, old
-    side and new side (see :class:`ProjectDelta`)."""
+    reports, the ``(summary, bundle)`` of every changed file, old side
+    and new side, and the previous run's unit paths in order (see
+    :class:`ProjectDelta`)."""
 
     reports: Dict[str, CheckerReport]
     removed: Sequence[Tuple[UnitSummary, Dict[str, CheckerReport]]]
     added: Sequence[Tuple[UnitSummary, Dict[str, CheckerReport]]]
+    order: Sequence[str] = ()
 
     @property
     def empty(self) -> bool:
@@ -406,7 +471,8 @@ class ProjectChange(NamedTuple):
             [(unit, bundle[name] if per_unit else None)
              for unit, bundle in self.removed],
             [(unit, bundle[name] if per_unit else None)
-             for unit, bundle in self.added])
+             for unit, bundle in self.added],
+            self.order)
 
 
 class Checker:
@@ -503,24 +569,39 @@ class Checker:
         passed it.
         """
         report = CheckerReport(checker=self.name)
-        tally = self.merge_units(report, unit_reports, fold)
-        self.settle(report, tally, unit_reports)
+        merged = self.merge_units(report, unit_reports, fold)
+        self.settle(report, merged, unit_reports)
         return report
 
     def merge_units(self, report: CheckerReport,
                     unit_reports: Sequence[CheckerReport],
-                    fold: Optional[ProjectDelta] = None) -> StatTally:
+                    fold: Optional[ProjectDelta] = None) -> UnitMerge:
         """Merge ``unit_reports`` into the fresh ``report``; returns
-        their :class:`StatTally`.
+        their :class:`StatTally` and the merged :class:`UnitLayout`.
 
-        Findings, suppressed findings and crashes are concatenated in
-        unit order and the integer stats set from the tally, exactly as
-        :meth:`CheckerReport.merge` over every unit would.  With
+        Findings, suppressed findings and crashes come out concatenated
+        in unit order and the integer stats set from the tally, exactly
+        as :meth:`CheckerReport.merge` over every unit would.  With
         ``fold`` the tally is the previous report's, with the changed
-        files' old reports subtracted and their new ones added, so the
-        stats cost O(change).  Float stats are left to
-        :meth:`settle`.
+        files' old reports subtracted and their new ones added, and the
+        lists are the previous report's with each changed file's
+        segment cut out and its new report's lists put in (located by
+        the previous :class:`UnitLayout` and ``fold.order``), so
+        nothing reads ``unit_reports``: the Python work is O(change),
+        and the unchanged units' runs are copied as slices.  Float
+        stats are left to :meth:`settle`.
         """
+        if fold is None:
+            tally = StatTally.of(unit_reports)
+        else:
+            tally = fold.previous.partials.tally.folded(
+                [unit_report for _, unit_report in fold.removed],
+                [unit_report for _, unit_report in fold.added])
+        report.stats.update(tally.stats())
+        layout = (fold.previous.partials.layout
+                  if fold is not None else None)
+        if layout is not None and len(layout.findings) == len(fold.order):
+            return UnitMerge(tally, _splice_units(report, fold, layout))
         findings, suppressed, crashes = (report.findings,
                                          report.suppressed, report.crashes)
         for unit_report in unit_reports:
@@ -529,16 +610,11 @@ class Checker:
                 suppressed.extend(unit_report.suppressed)
             if unit_report.crashes:
                 crashes.extend(unit_report.crashes)
-        if fold is None:
-            tally = StatTally.of(unit_reports)
-        else:
-            tally = fold.previous.partials.tally.folded(
-                [unit_report for _, unit_report in fold.removed],
-                [unit_report for _, unit_report in fold.added])
-        report.stats.update(tally.stats())
-        return tally
+        return UnitMerge(tally, UnitLayout(*(
+            tuple(map(len, map(attrgetter(name), unit_reports)))
+            for name in _LAYOUT_FIELDS)))
 
-    def settle(self, report: CheckerReport, tally: StatTally,
+    def settle(self, report: CheckerReport, merged: UnitMerge,
                unit_reports: Sequence[CheckerReport],
                rule_counts: Optional[Dict[str, int]] = None,
                extra: Any = None) -> None:
@@ -546,10 +622,12 @@ class Checker:
 
         A float stat the units carry and :meth:`finalize` did not
         rewrite gets its left-to-right sum, as a plain merge would have
-        left it.  ``rule_counts`` defaults to the tally's (a checker
-        adding project-level findings passes the combined counts);
-        ``extra`` is the checker's own partial state.
+        left it (the one thing here that reads ``unit_reports``).
+        ``rule_counts`` defaults to the tally's (a checker adding
+        project-level findings passes the combined counts); ``extra``
+        is the checker's own partial state.
         """
+        tally = merged.tally
         self.finalize(report)
         for key in tally.floats:
             if key not in report.stats:
@@ -561,7 +639,7 @@ class Checker:
         report.partials = ReportPartials(
             rule_counts=tally.rules if rule_counts is None else rule_counts,
             unit_findings=sum(tally.rules.values()), tally=tally,
-            extra=extra)
+            extra=extra, layout=merged.layout)
 
     def rules(self):
         """The :class:`~repro.rules.Rule` records this checker emits."""
@@ -675,6 +753,52 @@ class Checker:
         return numerator / denominator
 
 
+def _splice_units(report: CheckerReport, fold: ProjectDelta,
+                  layout: UnitLayout) -> UnitLayout:
+    """Fill ``report``'s findings, suppressed findings and crashes from
+    the previous report's per-unit part with the changed files'
+    segments replaced; returns the new :class:`UnitLayout`.
+
+    Each list is copied once and each changed path's segment (located
+    by its place in ``fold.order`` and the previous layout) is then
+    cut out and its new report's list put in, from the last change
+    back, so the earlier changes' offsets still hold.  Two changes at
+    one place (a path added before a changed one) come out in path
+    order.
+    """
+    order = fold.order
+    removed = {unit.filename for unit, _ in fold.removed}
+    added = {unit.filename: unit_report for unit, unit_report in fold.added}
+    #: ``(unit index, whether the previous run had this path there,
+    #: its new per-unit report or None)`` per changed path, in order.
+    changes = [(bisect_left(order, path), path in removed, added.get(path))
+               for path in sorted(removed | added.keys())]
+    previous = fold.previous
+    spliced = []
+    for name, counts in zip(_LAYOUT_FIELDS, layout):
+        starts = []
+        offset = unit = 0
+        for index, _, _ in changes:
+            offset += sum(counts[unit:index])
+            starts.append(offset)
+            unit = index
+        items = getattr(report, name)
+        base = len(items)
+        items.extend(getattr(previous, name))
+        del items[base + sum(counts):]  # the previous project-level part
+        sizes = list(counts)
+        for (index, present, unit_report), start in zip(reversed(changes),
+                                                        reversed(starts)):
+            new = getattr(unit_report, name) if unit_report is not None \
+                else []
+            start += base
+            items[start:start + (counts[index] if present else 0)] = new
+            sizes[index:index + 1 if present else index] = \
+                [len(new)] if unit_report is not None else []
+        spliced.append(tuple(sizes))
+    return UnitLayout(*spliced)
+
+
 def require_unique_checker(checker: Checker,
                            reports: Dict[str, CheckerReport]) -> None:
     """Reject a checker whose name already has a report.
@@ -772,8 +896,10 @@ def finish_checkers(checkers: Sequence[Checker],
                 if previous is not None and previous.partials is not None:
                     fold = change.delta(checker, per_unit)
                 try:
-                    args = ([bundle[checker.name] for bundle in bundles],) \
-                        if per_unit else ()
+                    args = (DeferredList(
+                        lambda name=checker.name: [bundle[name]
+                                                   for bundle in bundles]),
+                    ) if per_unit else ()
                     report = (finish(units, *args) if fold is None
                               else finish(units, *args, fold=fold))
                 except ReproError:

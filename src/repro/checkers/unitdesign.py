@@ -154,16 +154,16 @@ class UnitDesignChecker(Checker):
         the previous report (see :meth:`_recursion`)."""
         units = unit_summaries(units)
         report = self.new_report(units, flag_deviations=False)
-        tally = self.merge_units(report, unit_reports, fold)
+        merged = self.merge_units(report, unit_reports, fold)
         recursion = self._recursion(units, fold)
         reported = self._report_recursion(recursion, report)
         report.stats["recursive_functions"] = reported
-        rule_counts = tally.rules
+        rule_counts = merged.tally.rules
         if reported:
             rule_counts = dict(rule_counts)
             rule_counts["UD10.recursion"] = \
                 rule_counts.get("UD10.recursion", 0) + reported
-        self.settle(report, tally, unit_reports, rule_counts,
+        self.settle(report, merged, unit_reports, rule_counts,
                     extra=recursion)
         return report
 

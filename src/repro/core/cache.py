@@ -21,7 +21,8 @@ when it has no store.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Set, Tuple
+from typing import (Any, Collection, Dict, Iterator, Optional, Set,
+                    Tuple)
 
 from ..store.objects import CACHE_MISS, SCHEMA_TAG, ObjectStore
 
@@ -86,6 +87,22 @@ class MemoryCache(ObjectStore):
         self.referenced.add(key)
         return value
 
+    def reuse(self, keys: Collection[str]) -> bool:
+        """Account ``keys`` as hits without looking them up, when every
+        one is still held: a lookup would return the very value the
+        caller holds, so the accounting is a hit's — :attr:`hits`, the
+        ``cache.hits`` counter and :attr:`referenced` (which
+        :meth:`retain` keeps).  Returns ``False``, accounting nothing,
+        when any entry is gone (dropped by :meth:`retain` or
+        :meth:`clear`)."""
+        entries = self._entries
+        if not all(map(entries.__contains__, keys)):
+            return False
+        self.hits += len(keys)
+        self.metrics.counter("cache.hits").inc(len(keys))
+        self.referenced.update(keys)
+        return True
+
     def put(self, key: str, value: Any) -> bool:
         self._entries[key] = value
         self.puts += 1
@@ -106,7 +123,7 @@ class MemoryCache(ObjectStore):
         tracks the trees, not their edit history.  :attr:`referenced`
         is trimmed to the kept entries.  Returns the number dropped.
         """
-        stale = [key for key in self._entries if key not in keys]
+        stale = self._entries.keys() - keys
         for key in stale:
             del self._entries[key]
         self.referenced.intersection_update(self._entries)

@@ -14,8 +14,10 @@ per-unit checkers — is one task of the execution engine in
 :mod:`repro.core.parallel`, run inline when serial and fanned out over
 a pool of worker processes when :attr:`PipelineConfig.jobs` > 1.  With a
 :attr:`PipelineConfig.cache` configured, both cache entries of every
-file are looked up before dispatch, and only the files they do not
-settle are handed to the one fan-out.  The parent is the store's only
+file are looked up before dispatch (a file a previous result assessed
+with the very same source string may reuse that result's entries
+instead; see :meth:`AssessmentPipeline.run`), and only the files they
+do not settle are handed to the one fan-out.  The parent is the store's only
 reader and writer: a task gets sources and returns results, and the
 parent caches them, pooled or serial.  Either way the produced
 :class:`AssessmentResult` is identical to a serial, cold-cache run:
@@ -56,6 +58,8 @@ reader.
 from __future__ import annotations
 
 import gc
+from itertools import compress
+from operator import is_, itemgetter, not_
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
                     Optional, Tuple)
 
@@ -64,6 +68,7 @@ from ..checkers.base import (
     Checker,
     CheckerCrash,
     CheckerReport,
+    DeferredList,
     ProjectChange,
     finish_checkers,
     split_checkers,
@@ -144,21 +149,28 @@ class ProjectSignature(NamedTuple):
 
 
 class ProjectParts(NamedTuple):
-    """What the next run's fold reads off a cache-backed result.
+    """What the next run reads off a cache-backed result.
 
-    Private to the pipeline and the serve layer.  The summaries and
-    bundles are the ones the project stages consumed — live in the
-    cache anyway — keyed by path in path order; the checkers' own
-    partials ride on their reports (:attr:`~repro.checkers.base.
-    CheckerReport.partials`).  ``reused`` and ``recomputed`` count this
+    Private to the pipeline and the serve layer.  ``sources`` is the
+    run's ``{path: source}`` snapshot, and ``outcomes``, ``units`` and
+    ``bundles`` are the parse outcomes, summaries and bundles stage 1
+    produced — live in the cache anyway — keyed by path; ``files`` and
+    ``units`` are in path order.  The checkers' own partials ride on
+    their reports (:attr:`~repro.checkers.base.CheckerReport.partials`).
+    ``changed`` holds the paths changed, added or removed since the
+    result this run folded its project stages from (``None`` when it
+    folded from nothing).  ``reused`` and ``recomputed`` count this
     run's project parts (module metrics, checker reports, and the
     evidence/compliance/observations stage) by how they were obtained.
     """
 
     files: Dict[str, FileKey]
+    sources: Dict[str, str]
+    outcomes: Dict[str, ParseOutcome]
     units: Dict[str, UnitSummary]
     bundles: Dict[str, Bundle]
     module_of: Dict[str, str]
+    changed: Optional[FrozenSet[str]]
     reused: int
     recomputed: int
 
@@ -180,6 +192,25 @@ class _ProjectStages(NamedTuple):
     evidence: EvidenceSet
     tables: Dict[str, TableAssessment]
     observations: List[Observation]
+
+
+class _FileStage(NamedTuple):
+    """What stage 1 produced.
+
+    ``units`` maps each parsed file's path to its summary and
+    ``bundles`` each to its per-unit checker bundle; ``keys`` holds
+    every file's :data:`FileKey` (``None`` without a cache, or when a
+    file's parse or sweep crashed this run), ``units`` and ``keys`` in
+    path order.  ``looked_up`` lists the files that were not reused
+    from a previous result.
+    """
+
+    units: Dict[str, UnitSummary]
+    bundles: Dict[str, Bundle]
+    unparseable: List[str]
+    keys: Optional[Dict[str, FileKey]]
+    outcomes: Dict[str, ParseOutcome]
+    looked_up: List[str]
 
 
 class AssessmentPipeline:
@@ -225,16 +256,27 @@ class AssessmentPipeline:
             ) -> AssessmentResult:
         """Assess a codebase given as ``{path: source_text}``.
 
-        With ``previous`` — an earlier result of a cache-backed run —
-        the per-file stage runs as always (every cache lookup counted),
-        and when this run's :class:`ProjectSignature` equals
-        ``previous``'s in everything but the files and ``previous`` was
-        not degraded, stages 2–6 are folded from ``previous``: each part
-        is rebuilt only from the files whose :data:`FileKey` changed.
-        With no file changed and nothing crashed this time, the
-        returned result shares ``previous``'s modules, reports,
-        evidence, tables and observations.  The baseline comparison
-        always runs.
+        With ``previous`` — an earlier, non-degraded result of a run on
+        the same cache — and equal checker fingerprints, a file whose
+        source is the very string object ``previous`` assessed (as a
+        long-lived caller re-hands an untouched file's text) takes
+        ``previous``'s parse outcome, bundle and keys as they are,
+        when the cache accepts (:meth:`~repro.store.objects.
+        ObjectStore.reuse`: a :class:`~repro.core.cache.MemoryCache`
+        still holding the entries does, an on-disk store does not).
+        Nothing is hashed or looked up for such a file, and the cache
+        accounts its entries as hits, so hit counts and retention read
+        as if each had been looked up; only those lookups are not made.
+        Every other file — a new string, even one with equal text — is
+        keyed and looked up as always.
+        When this run's :class:`ProjectSignature` equals ``previous``'s
+        in everything but the files, stages 2–6 are folded from
+        ``previous``: each part is rebuilt only from the files whose
+        :data:`FileKey` changed.  With no file changed and nothing
+        crashed this time, the returned result shares ``previous``'s
+        modules, reports, evidence, tables and observations.  The
+        baseline comparison always runs.  Without ``previous`` every
+        file is looked up, and the result is the same either way.
 
         Unless :attr:`PipelineConfig.strict` is set, internal faults
         (a checker or the parser raising outside the
@@ -277,14 +319,17 @@ class AssessmentPipeline:
         with tracer.span("pipeline") as root:
             checkers = self._checkers()
             per_unit, _ = split_checkers(checkers)
-            units, bundles, unparseable, files = self._parse_all(
-                sources, per_unit, crashes)
-            signature = self._signature(checkers, files)
-            units_by_path = {unit.filename: unit for unit in units}
-            keys = ({key[0]: key for key in signature.files}
-                    if signature is not None else None)
-            base = self._fold_base(signature, keys, previous,
-                                   units_by_path, bundles)
+            fingerprints = tuple(checker.fingerprint()
+                                 for checker in checkers)
+            stage = self._parse_all(
+                sources, per_unit, crashes,
+                self._reusable(previous, fingerprints))
+            units_by_path, bundles, keys = (stage.units, stage.bundles,
+                                            stage.keys)
+            units = list(units_by_path.values())
+            signature = self._signature(fingerprints, keys)
+            base = self._fold_base(signature, keys, stage.looked_up,
+                                   previous, units_by_path, bundles)
             project, module_of, (reused, recomputed) = \
                 self._project_stages(checkers, units, bundles, crashes,
                                      base)
@@ -300,12 +345,14 @@ class AssessmentPipeline:
         parts = None
         if signature is not None:
             parts = ProjectParts(
-                files=keys, units=units_by_path, bundles=bundles,
-                module_of=module_of, reused=reused, recomputed=recomputed)
+                files=keys, sources=dict(sources), outcomes=stage.outcomes,
+                units=units_by_path, bundles=bundles, module_of=module_of,
+                changed=base.changed if base is not None else None,
+                reused=reused, recomputed=recomputed)
         return AssessmentResult(
             **project._asdict(),
             unit_count=len(units),
-            unparseable=unparseable,
+            unparseable=stage.unparseable,
             profile=self.config.rules,
             baseline=baseline,
             crashes=crashes,
@@ -316,12 +363,16 @@ class AssessmentPipeline:
 
     def _fold_base(self, signature: Optional[ProjectSignature],
                    keys: Optional[Dict[str, FileKey]],
+                   looked_up: List[str],
                    previous: Optional[AssessmentResult],
                    units: Dict[str, UnitSummary],
                    bundles: Dict[str, Bundle]) -> Optional[_FoldBase]:
         """What stages 2–6 fold from: ``previous`` and the files changed
         since, or ``None`` to start from nothing (no usable previous
-        result, or one read under different checkers or config)."""
+        result, or one read under different checkers or config).
+
+        Only the ``looked_up`` files can have changed among those still
+        present: the rest reused ``previous``'s keys in stage 1."""
         if (previous is None or signature is None
                 or previous.parts is None or previous.degraded
                 or signature[1:] != previous.signature[1:]):
@@ -329,15 +380,16 @@ class AssessmentPipeline:
         old = previous.parts
         before = old.files
         changed = frozenset(
-            [path for path, key in keys.items() if before.get(path) != key]
-            + [path for path in before if path not in keys])
+            [path for path in looked_up if before.get(path) != keys[path]]
+            + list(before.keys() - keys.keys()))
         ordered = sorted(changed)
         change = ProjectChange(
             previous.reports,
             [(old.units[path], old.bundles[path]) for path in ordered
              if path in old.units],
             [(units[path], bundles[path]) for path in ordered
-             if path in units])
+             if path in units],
+            list(old.units))
         self.tracer.metrics.counter("pipeline.files_refolded").inc(
             len(changed))
         return _FoldBase(previous, changed, change)
@@ -363,7 +415,8 @@ class AssessmentPipeline:
         with tracer.span("checkers") as span:
             reports = finish_checkers(
                 checkers, units,
-                [bundles[unit.filename] for unit in units],
+                DeferredList(lambda: [bundles[unit.filename]
+                                      for unit in units]),
                 tracer=tracer, log=self.log, strict=self.config.strict,
                 change=base.change if base is not None else None)
             shared = sum(1 for name, report in reports.items()
@@ -409,18 +462,17 @@ class AssessmentPipeline:
                                observations), module_of,
                 (reused, recomputed))
 
-    def _signature(self, checkers: List[Checker],
-                   files: Optional[Tuple[FileKey, ...]]
+    def _signature(self, fingerprints: Tuple[str, ...],
+                   keys: Optional[Dict[str, FileKey]]
                    ) -> Optional[ProjectSignature]:
         """This run's :class:`ProjectSignature`, or ``None`` when there
-        are no ``files`` keys to identify the per-file inputs by."""
-        if files is None:
+        are no file ``keys`` to identify the per-file inputs by."""
+        if keys is None:
             return None
         config = self.config
         return ProjectSignature(
-            files=files,
-            fingerprints=tuple(checker.fingerprint()
-                               for checker in checkers),
+            files=tuple(keys.values()),
+            fingerprints=fingerprints,
             module_of=config.module_of,
             architecture=config.architecture,
             target_asil=config.target_asil,
@@ -430,19 +482,29 @@ class AssessmentPipeline:
     # ------------------------------------------------------------------
     # stage 1: parse, summarize, and sweep the per-unit checkers
 
-    def _parse_all(self, sources: Mapping[str, str],
-                   per_unit: List[Checker], crashes: List[CheckerCrash]
-                   ) -> Tuple[List[UnitSummary], Dict[str, Bundle],
-                              List[str], Optional[Tuple[FileKey, ...]]]:
-        """Per-file stage: ``(summaries, per-unit checker bundles by
-        path, unparseable paths, file keys)``, summaries and file keys
-        in sorted path order.  The file keys are ``None`` without a
-        cache, or when a file's parse or sweep crashed this run.
+    def _reusable(self, previous: Optional[AssessmentResult],
+                  fingerprints: Tuple[str, ...]) -> Optional[ProjectParts]:
+        """``previous``'s parts when stage 1 may reuse its untouched
+        files' outcomes and bundles: a cache-backed, non-degraded result
+        read under the same checker fingerprints."""
+        if (self.config.cache is None or previous is None
+                or previous.parts is None or previous.degraded
+                or previous.signature.fingerprints != fingerprints):
+            return None
+        return previous.parts
 
-        Every file's cache entries are looked up before dispatch; the
-        files they do not settle go to :meth:`_parse_pending`.  A parse
-        hit whose checker entry misses (a changed profile or checker)
-        is re-parsed there for its sweep, counted under
+    def _parse_all(self, sources: Mapping[str, str],
+                   per_unit: List[Checker], crashes: List[CheckerCrash],
+                   old: Optional[ProjectParts]) -> "_FileStage":
+        """Per-file stage (see :class:`_FileStage`).
+
+        A file whose source is the very string ``old`` assessed takes
+        ``old``'s outcome, bundle and keys, accounted as cache hits in
+        one :meth:`~repro.store.objects.ObjectStore.reuse`.  Every other
+        file's cache entries are looked up before dispatch; the files
+        they do not settle go to :meth:`_parse_pending`.  A parse hit
+        whose checker entry misses (a changed profile or checker) is
+        re-parsed there for its sweep, counted under
         ``pipeline.units_reparsed`` rather than as a parse miss.
         """
         tracer = self.tracer
@@ -450,32 +512,40 @@ class AssessmentPipeline:
         metrics = tracer.metrics
         parsed = metrics.counter("pipeline.units_parsed")
         failed = metrics.counter("pipeline.parse_failures")
-        units: List[UnitSummary] = []
+        units: Dict[str, UnitSummary] = {}
         unparseable: List[str] = []
         with tracer.span("parse") as parse_span:
             paths = sorted(sources)
             outcomes: Dict[str, ParseOutcome] = {}
             bundles: Dict[str, Bundle] = {}
             pending: List[str] = []
-            all_parse_keys: List[str] = []
-            parse_keys: Dict[str, str] = {}  # the parse-missed files
+            looked_up: List[str] = paths
+            reused: Dict[str, FileKey] = {}
+            parse_keys: Dict[str, str] = {}
             check_keys: Dict[str, str] = {}
+            missed: Dict[str, str] = {}  # the parse-missed files' keys
             if cache is None:
                 pending = paths
             else:
+                if old is not None:
+                    looked_up = self._reuse(paths, sources, old, reused,
+                                            outcomes, bundles)
                 bundle_tag = "|".join(checker.fingerprint()
                                       for checker in per_unit)
                 reparsed = metrics.counter("pipeline.units_reparsed")
-                cache.prune_key_memo(sources)
-                for path in paths:
+                if old is None or old.sources.keys() - sources.keys():
+                    # keys of gone files (the previous run pruned the
+                    # rest, and reused files' keys are current)
+                    cache.prune_key_memo(sources)
+                for path in looked_up:
                     key = cache.cached_key(PARSE_TAG, path, sources[path])
-                    all_parse_keys.append(key)
+                    parse_keys[path] = key
                     outcome = self._lookup("parse", key)
                     if outcome is CACHE_MISS:
-                        parse_keys[path] = key
+                        missed[path] = key
                     else:
                         outcomes[path] = outcome
-                for path in paths:
+                for path in looked_up:
                     outcome = outcomes.get(path)
                     if outcome is not None and outcome.summary is None:
                         continue  # a cached parse failure
@@ -488,11 +558,13 @@ class AssessmentPipeline:
                             continue
                         reparsed.inc()
                     pending.append(path)
-            self._parse_pending(pending, sources, per_unit, parse_keys,
+            self._parse_pending(pending, sources, per_unit, missed,
                                 check_keys, outcomes, bundles, parse_span)
             for path in paths:
                 outcome = outcomes[path]
-                if outcome.crash is not None:
+                if outcome.summary is not None:
+                    units[path] = outcome.summary
+                elif outcome.crash is not None:
                     failed.inc()
                     unparseable.append(path)
                     crashes.append(outcome.crash)
@@ -508,22 +580,66 @@ class AssessmentPipeline:
                     self.log.warning("parse.failure", path=path,
                                      span=parse_span.id,
                                      error=str(outcome.error))
-                else:
-                    parsed.inc()
-                    units.append(outcome.summary)
+            parsed.inc(len(units))
             parse_span.set("files", len(sources))
             parse_span.set("failures", len(unparseable))
         # Only this run's sweeps can have crashed: cached bundles never
         # hold a crash (see bundle_has_crash).
-        files = None
+        keys = None
         if cache is not None and not crashes and not any(
                 bundle_has_crash(bundles[path])
                 for path in pending if path in bundles):
-            files = tuple(
-                (path, key, check_keys[path]
-                 if outcomes[path].summary is not None else None)
-                for path, key in zip(paths, all_parse_keys))
-        return units, bundles, unparseable, files
+            keys = {path: (path, parse_keys[path],
+                           check_keys[path] if path in units else None)
+                    for path in looked_up}
+            if reused:
+                if len(old.files) == len(paths) \
+                        and all(map(old.files.__contains__, looked_up)):
+                    # the same paths as ``old``, hence in the same order
+                    merged = dict(old.files)
+                    merged.update(keys)
+                    keys = merged
+                else:
+                    keys = {path: reused.get(path) or keys[path]
+                            for path in paths}
+        return _FileStage(units, bundles, unparseable, keys, outcomes,
+                          looked_up)
+
+    def _reuse(self, paths: List[str], sources: Mapping[str, str],
+               old: ProjectParts, reused: Dict[str, FileKey],
+               outcomes: Dict[str, ParseOutcome],
+               bundles: Dict[str, Bundle]) -> List[str]:
+        """File ``old``'s outcome, bundle and keys for every path whose
+        source is the string ``old`` assessed, into the empty
+        ``reused``, ``outcomes`` and ``bundles``; returns the paths left
+        to look up.
+
+        The cache accounts the reused entries as hits in one
+        :meth:`~repro.store.objects.ObjectStore.reuse`, counted per
+        stage like lookups; when it declines (an on-disk store), nothing
+        is filed and every path is looked up.  The per-path work is
+        done by ``map`` and ``compress``, so an unchanged tree of many
+        files costs little Python.
+        """
+        same = list(map(is_, map(old.sources.get, paths),
+                        map(sources.__getitem__, paths)))
+        kept = list(compress(paths, same))
+        if not kept:
+            return paths
+        file_keys = list(map(old.files.__getitem__, kept))
+        checked = list(filter(None, map(itemgetter(2), file_keys)))
+        if not self.config.cache.reuse(
+                list(map(itemgetter(1), file_keys)) + checked):
+            return paths
+        reused.update(zip(kept, file_keys))
+        outcomes.update(zip(kept, map(old.outcomes.__getitem__, kept)))
+        bundled = list(filter(old.bundles.__contains__, kept))
+        bundles.update(zip(bundled, map(old.bundles.__getitem__, bundled)))
+        counter = self.tracer.metrics.counter
+        counter("cache.hits", stage="parse").inc(len(kept))
+        if checked:
+            counter("cache.hits", stage="check").inc(len(checked))
+        return list(compress(paths, map(not_, same)))
 
     def _lookup(self, stage: str, key: str):
         """One cache lookup, counted per stage."""
@@ -534,7 +650,7 @@ class AssessmentPipeline:
         return value
 
     def _parse_pending(self, paths: List[str], sources: Mapping[str, str],
-                       per_unit: List[Checker], parse_keys: Dict[str, str],
+                       per_unit: List[Checker], missed: Dict[str, str],
                        check_keys: Dict[str, str],
                        outcomes: Dict[str, ParseOutcome],
                        bundles: Dict[str, Bundle], parse_span: Span
@@ -578,10 +694,10 @@ class AssessmentPipeline:
                     continue
                 outcomes[outcome.path] = outcome
                 if cache is not None and outcome.crash is None:
-                    cache.put(parse_keys[outcome.path], outcome)
+                    cache.put(missed[outcome.path], outcome)
             for path, bundle in chunk_bundles.items():
                 cached = (self._lookup("check", check_keys[path])
-                          if path in parse_keys else CACHE_MISS)
+                          if path in missed else CACHE_MISS)
                 if cached is not CACHE_MISS:
                     bundle = cached
                 elif cache is not None and not bundle_has_crash(bundle):

@@ -40,44 +40,80 @@ def write_corpus(corpus: Corpus, root: str,
 #: Every C, C++, and CUDA suffix an industrial tree uses for sources
 #: and headers.  Plain C and the alternate C++ spellings matter: Apollo
 #: vendors C libraries, and dropping them silently under-reports LOC.
-#: Matching is case-insensitive (see :func:`iter_tree_files`), so the
+#: Template implementation files (``.tcc``, ``.inl``, ``.ipp``) hold
+#: the bodies of header templates (libstdc++ alone ships dozens).
+#: Matching is case-insensitive (see :func:`iter_tree_entries`), so the
 #: upper-case spellings (``.C``, ``.CPP``, ``.HH``) common in older
 #: industrial trees need no entries of their own.
 SOURCE_EXTENSIONS = (".cc", ".cu", ".h", ".cpp", ".cuh",
-                     ".c", ".hpp", ".cxx", ".hh")
+                     ".c", ".hpp", ".cxx", ".hh", ".tcc", ".inl", ".ipp")
 
 
-def iter_tree_files(root: str, extensions=SOURCE_EXTENSIONS
-                    ) -> Iterator[Tuple[str, str]]:
-    """Yield ``(relative, full)`` for every source file under ``root``.
+def iter_tree_entries(root: str, extensions=SOURCE_EXTENSIONS
+                      ) -> Iterator[Tuple[str, "os.DirEntry[str]"]]:
+    """Yield ``(relative, entry)`` for every source file under ``root``.
+
+    One :func:`os.scandir` walk, in :func:`os.walk`'s top-down order:
+    a directory's files as listed, then each subdirectory in turn.  The
+    :class:`os.DirEntry` carries the full path (``entry.path``) and a
+    cached :meth:`~os.DirEntry.stat`, so the watch loop stats each file
+    with one call and no path joins.
 
     Extensions are matched case-insensitively: industrial trees mix
     ``.C``/``.CPP``/``.HH`` (old Unix C++ conventions, DOS-era exports)
     with the lower-case spellings, and a case-sensitive walk silently
-    drops them from the corpus.
+    drops them from the corpus.  Symbolic links to files are yielded
+    (a dangling one too: reading or statting it fails, and each caller
+    handles that); links to directories are not descended into, so a
+    link back up the tree cannot make the walk loop.  An unlistable
+    directory is skipped, as :func:`os.walk` skips it.
 
-    ``relative`` equals ``os.path.relpath(full, root)`` with ``/``
-    separators, but is cut from each walked directory once: every
-    directory :func:`os.walk` yields starts with ``root`` exactly as
-    given, so slicing that prefix off costs no per-file path
-    normalization (the watch loop walks the whole tree every poll).
+    ``relative`` equals ``os.path.relpath(entry.path, root)`` with
+    ``/`` separators, built from each directory's prefix rather than by
+    per-file path normalization.
 
     Raises:
         CorpusError: when ``root`` does not exist or is not a directory
-            (``os.walk`` would silently yield nothing).
+            (a walk would silently yield nothing).
     """
     if not os.path.exists(root):
         raise CorpusError(f"source tree {root!r} does not exist")
     if not os.path.isdir(root):
         raise CorpusError(f"source tree {root!r} is not a directory")
     suffixes = tuple(extension.lower() for extension in extensions)
-    for directory, _, filenames in os.walk(root):
-        inner = directory[len(root):].lstrip(os.sep)
-        prefix = inner.replace(os.sep, "/") + "/" if inner else ""
-        for filename in filenames:
-            if not filename.lower().endswith(suffixes):
-                continue
-            yield prefix + filename, os.path.join(directory, filename)
+    stack = [(root, "")]
+    while stack:
+        directory, prefix = stack.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except OSError:
+            continue
+        subdirectories = []
+        for entry in entries:
+            try:
+                is_directory = entry.is_dir()
+            except OSError:
+                is_directory = False
+            if is_directory:
+                if not entry.is_symlink():
+                    subdirectories.append(entry)
+            elif entry.name.lower().endswith(suffixes):
+                yield prefix + entry.name, entry
+        stack.extend((entry.path, prefix + entry.name + "/")
+                     for entry in reversed(subdirectories))
+
+
+def iter_tree_files(root: str, extensions=SOURCE_EXTENSIONS
+                    ) -> Iterator[Tuple[str, str]]:
+    """Yield ``(relative, full)`` for every source file under ``root``:
+    :func:`iter_tree_entries` with each entry's full path.
+
+    Raises:
+        CorpusError: when ``root`` does not exist or is not a directory.
+    """
+    for relative, entry in iter_tree_entries(root, extensions):
+        yield relative, entry.path
 
 
 def read_tree(root: str, extensions=SOURCE_EXTENSIONS,
@@ -105,8 +141,7 @@ def read_tree(root: str, extensions=SOURCE_EXTENSIONS,
             to, for stats accounting.
 
     Raises:
-        CorpusError: when ``root`` does not exist or is not a directory
-            (``os.walk`` would silently yield nothing).
+        CorpusError: when ``root`` does not exist or is not a directory.
     """
     log = log if log is not None else NULL_LOG
     sources = {}

@@ -32,12 +32,12 @@ class Observation:
 
 
 def generate_observations(evidence: EvidenceSet) -> List[Observation]:
-    """Derive Observations 1-10, 13, 14 from static-analysis evidence.
+    """Derive Observations 1-9, 13 and 14 from static-analysis evidence.
 
-    Observations 11 and 12 concern the tooling landscape (GPU coverage
-    tools, closed-source libraries) rather than properties measurable on
-    the code; :func:`tooling_observations` contributes them from the
-    coverage and performance experiments.
+    Observations 10-12 rest on the dynamic experiments rather than on
+    properties measurable in the code (structural coverage, GPU coverage
+    tools, closed-source libraries); :func:`tooling_observations`
+    contributes them from the coverage and performance experiments.
     """
     observations: List[Observation] = []
 

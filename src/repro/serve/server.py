@@ -5,21 +5,30 @@ One :class:`AssessmentServer` process takes one
 then answers ``assess`` / ``diff`` / ``rules`` / ``stats`` requests
 indefinitely, keeping the parse/check object cache hot in memory
 (:class:`~repro.core.cache.MemoryCache` by default, the store's shared
-object area under ``--store``).  A request costs what
-changed, not the tree: every per-file stage of an unchanged file
-short-circuits to a content-addressed cache hit (its key memoized on
-the cache), and the project-level stages (metrics, checker finish,
-evidence, compliance, observations) are folded from the root's previous
-result part by part, rebuilt only from the files that changed (see
-:meth:`~repro.core.pipeline.AssessmentPipeline.run`).  The reply's
-``findings`` body is assembled the same way, its JSON text included:
-each checker bundle's sorted ``located()`` strings are kept per bundle
-beside their encoded fragment, so an edit formats and encodes only the
-changed files' and the project-level findings, and one merge splices
-every kept run that no other string sorts into
+object area under ``--store``).  A request costs what changed, not the
+tree.  The watcher stats the tree in one walk and hands an untouched
+file over as the very string it held, so the pipeline reuses that
+file's parse outcome, bundle and keys from the root's previous result
+without hashing or looking anything up, the memory cache accounting
+each reused entry as a hit (see :meth:`~repro.core.pipeline.
+AssessmentPipeline.run`); a changed file's entries are looked up and,
+missing, recomputed.  The project-level stages (metrics, checker
+finish, evidence, compliance, observations) are folded from the
+previous result part by part, rebuilt only from the files that changed.
+The reply's ``findings`` body is assembled the same way, its JSON text
+included: each checker bundle's sorted ``located()`` strings are
+formatted and encoded once per bundle key, and each checker's merged
+list and text are kept per root and re-formed only around the changed
+files' bundles and the project-level findings
 (:class:`~repro.serve.protocol.FindingsBody`).  A repeat ``assess`` of
 an unchanged tree recomputes nothing, encodes no finding, and replies
 byte-identically to the first.
+
+Under ``--store`` the object area cannot vouch for entries it would
+have to re-read, so every file is looked up as in a one-shot run: an
+entry removed between requests (``repro-store gc`` sweeping what no run
+pins any more) is a plain miss, recomputed and put back, and a rotted
+one counts under ``corrupt_entries``.
 
 Each request runs inside the fault-containment boundary the pipeline
 already provides: a crashing checker or a corrupt cache entry degrades
@@ -41,10 +50,11 @@ from __future__ import annotations
 import os
 import threading
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import replace
-from operator import itemgetter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Set, \
+    Tuple
 
 from ..core.cache import MemoryCache
 from ..core.config import PipelineConfig
@@ -69,6 +79,113 @@ __all__ = ["AssessmentServer", "run_stdio", "run_tcp"]
 #: ``located()`` strings, all of them, and their JSON array text without
 #: the brackets.
 Run = Tuple[str, str, List[str], str]
+
+
+class _Block(NamedTuple):
+    """A stretch of one checker's sorted strings, encoded as one piece:
+    a run no other string sorts within (``whole``, spliced as its kept
+    fragment), or all the loose strings between two such runs.  ``runs``
+    are the bundle keys of the runs whose strings it holds."""
+
+    first: str
+    last: str
+    strings: List[str]
+    fragment: str
+    runs: Tuple[Any, ...]
+    whole: bool
+
+
+class _Column:
+    """One checker's part of a root's findings body, kept across
+    requests and updated around the changed bundles.
+
+    ``blocks`` partition the checker's sorted strings, each run lying
+    within one block; ``located`` and ``pieces`` (each block's fragment
+    followed by a comma) are their concatenation.  Both lists are
+    rebuilt by slicing, never mutated, because a reply body shares
+    them.
+    """
+
+    def __init__(self) -> None:
+        self.runs: Dict[Any, Run] = {}
+        self.fresh: List[str] = []
+        self.blocks: List[_Block] = []
+        self.firsts: List[str] = []
+        self.lasts: List[str] = []
+        self.sizes: List[int] = []
+        self.located: List[str] = []
+        self.pieces: List[str] = []
+
+    def update(self, removed: Iterable[Any], added: Dict[Any, Run],
+               fresh: List[str]) -> None:
+        """Drop the runs under ``removed`` keys, take the ``added`` ones
+        and the new sorted ``fresh`` strings, re-forming only the blocks
+        within the span the changes touch.
+
+        The span is the smallest one holding every dropped and added
+        run and every fresh string that came or went, widened to whole
+        blocks and to a loose block on either side (which may have to
+        join the re-formed loose strings).  No run or string outside it
+        sorts within it, so re-forming it alone (see :func:`_blocks`)
+        gives the blocks a build from nothing would.
+        """
+        bounds: List[str] = []
+        for key in removed:
+            run = self.runs.pop(key, None)
+            if run is not None:
+                bounds += run[:2]
+        for run in added.values():
+            bounds += run[:2]
+        self.runs.update(added)
+        if fresh != self.fresh:
+            before, after = Counter(self.fresh), Counter(fresh)
+            bounds.extend((before - after) + (after - before))
+            self.fresh = fresh
+        if not bounds:
+            return
+        low, high = min(bounds), max(bounds)
+        start = bisect_left(self.lasts, low)
+        end = bisect_right(self.firsts, high, start)
+        if start > 0 and not self.blocks[start - 1].whole:
+            start -= 1
+        if end < len(self.blocks) and not self.blocks[end].whole:
+            end += 1
+        if start < end:
+            low = min(low, self.firsts[start])
+            high = max(high, self.lasts[end - 1])
+        keys = dict.fromkeys(key for block in self.blocks[start:end]
+                             for key in block.runs)
+        keys.update(added)
+        runs = self.runs
+        blocks = _blocks(
+            [(key, runs[key]) for key in keys if key in runs],
+            fresh[bisect_left(fresh, low):bisect_right(fresh, high)])
+        offset = sum(self.sizes[:start])
+        size = sum(self.sizes[start:end])
+        strings: List[str] = []
+        pieces: List[str] = []
+        for block in blocks:
+            strings.extend(block.strings)
+            pieces.append(block.fragment)
+            pieces.append(",")
+        self.blocks[start:end] = blocks
+        self.firsts[start:end] = [block.first for block in blocks]
+        self.lasts[start:end] = [block.last for block in blocks]
+        self.sizes[start:end] = [len(block.strings) for block in blocks]
+        self.located = (self.located[:offset] + strings
+                        + self.located[offset + size:])
+        self.pieces = (self.pieces[:2 * start] + pieces
+                       + self.pieces[2 * end:])
+
+
+class _Body:
+    """A root's latest findings body, the result it reflects, and the
+    per-checker columns the next body is updated from."""
+
+    def __init__(self) -> None:
+        self.result: Any = None
+        self.columns: Dict[str, _Column] = {}
+        self.findings: Optional[FindingsBody] = None
 
 
 class _CacheDelta:
@@ -143,15 +260,12 @@ class AssessmentServer:
         #: Latest and previous assessment per root (the diff operands).
         self.results: Dict[str, Any] = {}
         self.previous: Dict[str, Any] = {}
-        #: The latest reply's ``findings`` body per root, shared (text
-        #: included) by the next reply when its result shares the
-        #: reports.
-        self.findings: Dict[str, FindingsBody] = {}
-        #: Each live checker bundle's :data:`Run` per checker that has
-        #: findings in it, by the bundle's cache key.
-        self.located: Dict[str, Dict[str, Run]] = {}
+        #: The latest reply's ``findings`` body per root with what the
+        #: next body is updated from; shared (text included) by the next
+        #: reply when its result shares the reports.
+        self.bodies: Dict[str, _Body] = {}
         #: Cache keys each root's latest assessment touched; the union
-        #: is what :meth:`MemoryCache.retain` and :attr:`located` keep.
+        #: is what :meth:`MemoryCache.retain` keeps.
         self.live_keys: Dict[str, Set[str]] = {}
         self.closing = False
         self.started = time.monotonic()
@@ -364,10 +478,13 @@ class AssessmentServer:
                 self.parts_recomputed += result.parts.recomputed
             if result.project_reused:
                 self.project_reuses += 1
-                findings = self.findings[root]
+            body = self.bodies.get(root)
+            if (result.project_reused and body is not None
+                    and body.result is previous):
+                body.result = result
+                findings = body.findings
             else:
-                findings = self._findings_body(result)
-                self.findings[root] = findings
+                findings = self._findings_body(root, result, previous)
             self._retain_live(root)
             run_id = self._record_run(result, config, duration, delta,
                                       files=len(sources))
@@ -392,74 +509,80 @@ class AssessmentServer:
                 reply["run"] = run_id
             return reply
 
-    def _findings_body(self, result) -> FindingsBody:
+    def _findings_body(self, root: str, result, previous) -> FindingsBody:
         """The reply's ``findings``: each checker's sorted ``located()``
         strings, with the pieces of the body's JSON text.
 
         A folded report (one with :attr:`~repro.checkers.base.
         CheckerReport.partials`) starts with its per-unit reports'
-        findings in unit order, so its strings are the kept per-bundle
-        runs (see :meth:`_bundle_located`) merged with the project-level
-        findings' fresh ones (see :func:`_merge_runs`); any other
-        report's strings are all fresh.  The pieces are joined once,
-        with the rest of the reply, by :func:`encode_reply`.
+        findings in unit order, so its strings are one :data:`Run` per
+        bundle with findings (formatted and encoded once per bundle key)
+        merged with the project-level findings' fresh ones; any other
+        report's strings are all fresh.  When ``result`` was folded from
+        ``previous`` and ``previous`` is what the root's kept body
+        reflects, each checker's :class:`_Column` is updated around the
+        changed files' bundle keys only; otherwise it is built anew.
+        The pieces are joined once, with the rest of the reply, by
+        :func:`encode_reply`.
         """
+        body = self.bodies.get(root)
         parts = result.parts
-        per_unit = None
+        changed = parts.changed if parts is not None else None
+        if (body is None or changed is None or body.result is not previous
+                or body.columns.keys() != result.reports.keys()):
+            body = self.bodies[root] = _Body()
+            changed = None
+        gone: List[str] = []
+        came: List[Tuple[str, Dict[str, Run]]] = []
         if parts is not None:
-            per_unit = [self._bundle_located(parts.files[path][2],
-                                             parts.bundles[path])
-                        for path in parts.units]
+            if changed is None:
+                paths: Iterable[str] = parts.units
+            else:
+                before = previous.parts.files
+                gone = [before[path][2] for path in changed
+                        if path in before and before[path][2] is not None]
+                paths = sorted(path for path in changed
+                               if path in parts.units)
+            came = [(parts.files[path][2],
+                     _bundle_runs(parts.bundles[path])) for path in paths]
         findings: Dict[str, List[str]] = {}
         pieces = ["{"]
         for name, report in sorted(result.reports.items()):
+            column = body.columns.get(name)
+            if column is None:
+                column = body.columns[name] = _Column()
             partials = report.partials
-            runs: List[Run] = []
-            fresh = report.findings
-            if per_unit is not None and partials is not None:
-                if partials.unit_findings:
-                    runs = [unit[name] for unit in per_unit
-                            if name in unit]
-                fresh = fresh[partials.unit_findings:]
+            if parts is not None and partials is not None:
+                fresh = report.findings[partials.unit_findings:]
+                column.update(gone, {key: runs[name] for key, runs in came
+                                     if name in runs},
+                              sorted(finding.located() for finding in fresh))
+            else:
+                column.update(list(column.runs), {},
+                              sorted(finding.located()
+                                     for finding in report.findings))
             if len(pieces) > 1:
                 pieces.append(",")
             pieces.append(canonical(name))
             pieces.append(":[")
-            findings[name] = _merge_runs(
-                runs, sorted(finding.located() for finding in fresh),
-                pieces)
+            pieces.extend(column.pieces)
+            if column.pieces:
+                pieces.pop()
             pieces.append("]")
+            findings[name] = column.located
         pieces.append("}")
-        return FindingsBody(findings, pieces)
-
-    def _bundle_located(self, key: str, bundle) -> Dict[str, Run]:
-        """One checker bundle's :data:`Run` per checker with findings,
-        formatted and encoded once per bundle key while the key stays
-        live."""
-        located = self.located.get(key)
-        if located is None:
-            located = {}
-            for name, report in bundle.items():
-                if report.findings:
-                    strings = sorted(finding.located()
-                                     for finding in report.findings)
-                    located[name] = (strings[0], strings[-1], strings,
-                                     canonical(strings)[1:-1])
-            self.located[key] = located
-        return located
+        body.result = result
+        body.findings = FindingsBody(findings, pieces)
+        return body.findings
 
     def _retain_live(self, root: str) -> None:
-        """Drop the memory-cache entries and kept runs no root's latest
-        assessment touched (an edited file's superseded parse and
-        checker entries), so the daemon's memory follows its trees, not
-        their edit history."""
+        """Drop the memory-cache entries no root's latest assessment
+        touched (an edited file's superseded parse and checker
+        entries), so the daemon's memory follows its trees, not their
+        edit history."""
         self.live_keys[root] = set(self.cache.referenced)
-        live = set().union(*self.live_keys.values())
         if isinstance(self.cache, MemoryCache):
-            self.cache.retain(live)
-        located = self.located
-        for key in [key for key in located if key not in live]:
-            del located[key]
+            self.cache.retain(set().union(*self.live_keys.values()))
 
     def _verb_assess(self, request: Dict[str, Any]) -> Dict[str, Any]:
         refresh = request.get("refresh", True)
@@ -506,49 +629,88 @@ class AssessmentServer:
         return self.diff(self._root_for(request), baseline)
 
 
-def _merge_runs(runs: List[Run], fresh: List[str],
-                pieces: List[str]) -> List[str]:
-    """One checker's sorted strings, merged from its kept ``runs`` and
-    the sorted ``fresh`` ones; appends the JSON array's elements,
-    comma-separated, to ``pieces``.
+def _bundle_runs(bundle) -> Dict[str, Run]:
+    """One checker bundle's :data:`Run` per checker with findings."""
+    runs = {}
+    for name, report in bundle.items():
+        if report.findings:
+            strings = sorted(finding.located()
+                             for finding in report.findings)
+            runs[name] = (strings[0], strings[-1], strings,
+                          canonical(strings)[1:-1])
+    return runs
+
+
+def _blocks(runs: List[Tuple[Any, Run]], fresh: List[str]
+            ) -> List[_Block]:
+    """The sorted strings of keyed ``runs`` and sorted ``fresh`` ones,
+    as :class:`_Block` s in order.
 
     A run is spliced whole, as its kept fragment, when no other run's
     string and no fresh string sorts within it (between its first and
     last string, both included).  The spliced runs are then disjoint
     and no other string falls inside one, so the rest (the fresh
     strings and every other run's) are sorted together and encoded in
-    slices, one per gap between spliced runs.
+    slices, one per gap between spliced runs.  Whether a run is whole
+    depends only on the strings that sort within it, so a stretch of
+    blocks can be re-formed on its own.
     """
-    runs = sorted(runs, key=itemgetter(0))
-    whole: List[Run] = []
+    runs = sorted(runs, key=lambda keyed: keyed[1][0])
+    whole: List[Tuple[Any, Run]] = []
     loose = list(fresh)
+    loose_runs: List[Tuple[str, Any]] = []
     reach = None
-    following = [run[0] for run in runs[1:]]
+    following = [run[0] for _, run in runs[1:]]
     following.append(None)
-    for run, after in zip(runs, following):
+    for (key, run), after in zip(runs, following):
         first, last, strings, _ = run
         if ((reach is None or reach < first)
                 and (after is None or last < after)
                 and (not fresh or _none_within(fresh, first, last))):
-            whole.append(run)
+            whole.append((key, run))
         else:
             loose.extend(strings)
+            loose_runs.append((first, key))
         if reach is None or reach < last:
             reach = last
     loose.sort()
+    blocks: List[_Block] = []
+    at = taken = 0
+
+    def gap(end: int) -> None:
+        nonlocal at, taken
+        chunk = loose[at:end]
+        members = taken
+        while members < len(loose_runs) \
+                and loose_runs[members][0] <= chunk[-1]:
+            members += 1
+        blocks.append(_Block(chunk[0], chunk[-1], chunk,
+                             canonical(chunk)[1:-1],
+                             tuple(key for _, key
+                                   in loose_runs[taken:members]), False))
+        at, taken = end, members
+
+    for key, (first, last, strings, fragment) in whole:
+        if at < len(loose) and loose[at] < first:
+            gap(bisect_left(loose, first, at))
+        blocks.append(_Block(first, last, strings, fragment, (key,),
+                             True))
+    if at < len(loose):
+        gap(len(loose))
+    return blocks
+
+
+def _merge_runs(runs: List[Run], fresh: List[str],
+                pieces: List[str]) -> List[str]:
+    """One checker's sorted strings, merged from its kept ``runs`` and
+    the sorted ``fresh`` ones (see :func:`_blocks`); appends the JSON
+    array's elements, comma-separated, to ``pieces``."""
     located: List[str] = []
     mark = len(pieces)
-    at = 0
-    for first, _, strings, fragment in whole:
-        if at < len(loose) and loose[at] < first:
-            end = bisect_left(loose, first, at)
-            _emit(loose[at:end], located, pieces)
-            at = end
-        located.extend(strings)
-        pieces.append(fragment)
+    for block in _blocks([(None, run) for run in runs], fresh):
+        located.extend(block.strings)
+        pieces.append(block.fragment)
         pieces.append(",")
-    if at < len(loose):
-        _emit(loose[at:], located, pieces)
     if len(pieces) > mark:
         pieces.pop()
     return located
@@ -558,13 +720,6 @@ def _none_within(strings: List[str], first: str, last: str) -> bool:
     """Whether no string of sorted ``strings`` lies in [first, last]."""
     index = bisect_left(strings, first)
     return index == len(strings) or last < strings[index]
-
-
-def _emit(chunk: List[str], located: List[str],
-          pieces: List[str]) -> None:
-    located.extend(chunk)
-    pieces.append(canonical(chunk)[1:-1])
-    pieces.append(",")
 
 
 def _summary(histogram: Histogram) -> Dict[str, Any]:

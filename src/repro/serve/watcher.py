@@ -3,8 +3,9 @@
 The watch loop's contract with the pipeline is *don't re-read what
 didn't change, don't re-emit what didn't really change*:
 
-* a fast ``os.stat`` pass over the walked tree decides which files
-  even need re-reading (mtime_ns + size unchanged ⇒ content assumed
+* one :func:`os.scandir` walk stats every file (the walker
+  :func:`~repro.corpus.writer.read_tree` uses too) and decides which
+  files even need re-reading (mtime_ns + size unchanged ⇒ content assumed
   unchanged — the same heuristic build systems use);
 * files whose stat moved are re-read and compared with the kept
   text: an editor's save that rewrote identical bytes (format-on-save,
@@ -12,23 +13,25 @@ didn't change, don't re-emit what didn't really change*:
   re-assessment;
 * a file that vanishes between the walk and the read (the classic
   atomic-rename race) is folded into ``removed`` instead of crashing
-  the iteration, and one that turns unreadable (EACCES, broken
-  symlink) is skipped with a ``parse.skipped_unreadable`` warning,
-  keeping its last-known content so the corpus stays consistent.
+  the iteration, and one that turns unreadable (EACCES) is skipped
+  with a ``parse.skipped_unreadable`` warning, keeping its last-known
+  content so the corpus stays consistent.  A dangling symlink cannot
+  be statted and is not part of the tree at all.
 
 The watcher owns the authoritative ``{path: source}`` mapping the
-server feeds the pipeline; re-running the parse/check stages for only
-the changed files then falls out of the content-addressed result cache
-(unchanged files hit, changed files miss).
+server feeds the pipeline.  A file the poll did not re-read keeps its
+very string object, which is how the pipeline tells an untouched file
+from a changed one without hashing it (see
+:meth:`~repro.core.pipeline.AssessmentPipeline.run`); a re-read file
+gets a new string and goes through the content-addressed result cache.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..corpus.writer import SOURCE_EXTENSIONS, iter_tree_files
+from ..corpus.writer import SOURCE_EXTENSIONS, iter_tree_entries
 from ..obs.log import NULL_LOG, EventLog
 
 __all__ = ["TreeWatcher", "WatchDelta"]
@@ -113,22 +116,25 @@ class TreeWatcher:
         """
         self.polls += 1
         delta = WatchDelta()
+        sources = self.sources
+        stats = self._stats
         seen = set()
-        for relative, full in iter_tree_files(self.root, self.extensions):
-            known = relative in self.sources
+        for relative, entry in iter_tree_entries(self.root,
+                                                 self.extensions):
             try:
-                stat = os.stat(full)
+                stat = entry.stat()
             except OSError:
-                # Vanished between the walk and the stat: for a known
-                # file that is a removal; an unknown one never existed
-                # as far as the corpus is concerned.
+                # Vanished between the walk and the stat (or a dangling
+                # link): for a known file that is a removal; an unknown
+                # one never existed as far as the corpus is concerned.
                 continue
             seen.add(relative)
             state = (stat.st_mtime_ns, stat.st_size)
-            if known and self._stats.get(relative) == state:
+            if stats.get(relative) == state:
                 continue  # stat-identical: not even re-read
+            known = relative in sources
             try:
-                text = self._read(full)
+                text = self._read(entry.path)
             except FileNotFoundError:
                 seen.discard(relative)  # deleted mid-iteration
                 continue
@@ -139,14 +145,14 @@ class TreeWatcher:
                 continue
             if not known:
                 delta.added.append(relative)
-            elif text == self.sources[relative]:
+            elif text == sources[relative]:
                 delta.touched.append(relative)
-                self._stats[relative] = state
+                stats[relative] = state
                 continue
             else:
                 delta.changed.append(relative)
-            self.sources[relative] = text
-            self._stats[relative] = state
+            sources[relative] = text
+            stats[relative] = state
         for relative in sorted(set(self.sources) - seen):
             delta.removed.append(relative)
             del self.sources[relative]

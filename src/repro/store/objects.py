@@ -30,7 +30,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from typing import Any, Container, Dict, Iterator, Optional, Tuple
+from typing import (Any, Collection, Container, Dict, Iterator,
+                    Optional, Tuple)
 
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry
@@ -255,6 +256,22 @@ class ObjectStore:
         self.misses += 1
         self.metrics.counter("cache.misses").inc()
         return CACHE_MISS
+
+    def reuse(self, keys: Collection[str]) -> bool:
+        """Account a hit for each of ``keys`` without reading it, when
+        this store can vouch that a lookup would return what the caller
+        already holds; returns whether it did.
+
+        The caller is the pipeline's stage 1 reusing a previous result's
+        untouched files.  An on-disk area cannot vouch: its entries
+        may have rotted or been removed by gc since they were read, and
+        a lookup must show that (a ``corrupt_entries`` count, a miss
+        that recomputes and puts the entry back).  So this returns
+        ``False`` and accounts nothing, and the caller looks every key
+        up.  :class:`~repro.core.cache.MemoryCache`, whose lookups
+        return the very objects it holds, accepts.
+        """
+        return False
 
     def _corrupt_miss(self, path: str, error: Exception) -> Any:
         self.misses += 1

@@ -203,17 +203,17 @@ class TestWriter:
         write_corpus(corpus, str(tmp_path), overwrite=True)
 
     def test_all_c_family_extensions_loaded(self, tmp_path):
-        # .c, .hpp, .cxx, and .hh were once silently dropped
-        for name in ("legacy.c", "types.hpp", "impl.cxx", "iface.hh",
-                     "main.cc", "kernel.cu", "decl.h", "body.cpp",
-                     "dev.cuh"):
+        # .c, .hpp, .cxx, and .hh were once silently dropped, and so
+        # were the template implementation files .tcc, .inl and .ipp
+        names = {"legacy.c", "types.hpp", "impl.cxx", "iface.hh",
+                 "main.cc", "kernel.cu", "decl.h", "body.cpp", "dev.cuh",
+                 "vector.tcc", "inline.inl", "detail.ipp"}
+        for name in names:
             (tmp_path / name).write_text(f"// {name}\n")
         (tmp_path / "notes.txt").write_text("not source\n")
         (tmp_path / "build.o").write_bytes(b"\x7fELF")
         loaded = read_tree(str(tmp_path))
-        assert set(loaded) == {"legacy.c", "types.hpp", "impl.cxx",
-                               "iface.hh", "main.cc", "kernel.cu",
-                               "decl.h", "body.cpp", "dev.cuh"}
+        assert set(loaded) == names
 
     def test_non_utf8_file_read_tolerantly(self, tmp_path):
         (tmp_path / "latin1.cc").write_bytes(

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.corpus.writer import iter_tree_files
+from repro.corpus.writer import iter_tree_files, read_tree
 
 
 def relpath_walk(root):
@@ -55,3 +55,31 @@ def test_pairs_match_relpath_in_order(tree, monkeypatch, spelling):
     assert {"top.cc", "a/b/two.CPP", "a/b/c/three.HH", "d/linked.cc",
             "e/f/g/h/deep.cc"} <= relatives
     assert "d/notes.txt" not in relatives
+
+
+def test_symlinked_directory_is_not_followed(tmp_path):
+    """A directory link is not descended into, so a link back up the
+    tree cannot make the walk loop."""
+    root = tmp_path / "tree"
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "real.cc").write_text("int x;\n")
+    os.symlink(root, root / "src" / "loop")
+    os.symlink(root / "src", root / "alias")
+    pairs = list(iter_tree_files(str(root)))
+    assert [relative for relative, _ in pairs] == ["src/real.cc"]
+
+
+def test_symlinked_file_is_included(tmp_path):
+    root = tmp_path / "tree"
+    root.mkdir()
+    (tmp_path / "outside.cc").write_text("int y;\n")
+    os.symlink(tmp_path / "outside.cc", root / "linked.cc")
+    assert read_tree(str(root)) == {"linked.cc": "int y;\n"}
+
+
+def test_dangling_symlink_is_ignored(tmp_path):
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "good.cc").write_text("int x;\n")
+    os.symlink(tmp_path / "no-such-target", root / "ghost.cc")
+    assert read_tree(str(root)) == {"good.cc": "int x;\n"}

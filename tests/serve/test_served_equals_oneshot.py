@@ -6,6 +6,7 @@ arrive, each reply — and the result behind it, part by part — must equal
 a fresh one-shot assessment of the edited tree.
 """
 
+import copy
 import os
 import shutil
 import tempfile
@@ -27,7 +28,7 @@ from .test_server import stable
 #: Every edit kind the fold has a distinct path for.
 EDITS = ("comment", "add_function", "remove_function", "cycle", "uncycle",
          "move", "add_file", "add_module", "delete_file", "include",
-         "deviation")
+         "deviation", "revert", "rename")
 
 PROFILES = {
     "default": None,
@@ -45,6 +46,8 @@ class Tree:
         self.serial = 0
         #: path -> {"lead", "includes", "functions", "comments"}
         self.files: Dict[str, dict] = {}
+        #: path -> every model written there, oldest first
+        self.history: Dict[str, List[dict]] = {}
         for module in ("alpha", "beta", "gamma"):
             for index in range(2):
                 self.files[f"{module}/f{index}.cc"] = self._fresh(
@@ -84,6 +87,8 @@ class Tree:
         os.makedirs(os.path.dirname(full), exist_ok=True)
         with open(full, "w", encoding="utf-8") as handle:
             handle.write(self.render(path))
+        self.history.setdefault(path, []).append(
+            copy.deepcopy(self.files[path]))
         # distinct mtimes, however fast the edits come
         self.stamp += 1
         os.utime(full, ns=(self.stamp * 10 ** 9, self.stamp * 10 ** 9))
@@ -139,6 +144,22 @@ class Tree:
             self.files[path] = self._fresh([(self._name(), [
                 self.files[callee[0]]["functions"][callee[1]][0]]
                 if callee else [])])
+        elif kind == "revert":
+            # back to an earlier text: the file's old keys come back
+            earlier = self.history[path][pick % len(self.history[path])]
+            self.files[path] = model = copy.deepcopy(earlier)
+        elif kind == "rename":
+            # the same text under a new path, moved on disk
+            self.serial += 1
+            module = (path.split("/")[0] if pick % 2
+                      else f"mod{pick % 4}")
+            target = f"{module}/r{self.serial}.cc"
+            self.files[target] = self.files.pop(path)
+            self.history[target] = self.history.pop(path)
+            os.makedirs(os.path.join(self.root, module), exist_ok=True)
+            os.rename(os.path.join(self.root, path),
+                      os.path.join(self.root, target))
+            return
         elif kind == "delete_file":
             if len(self.files) <= 2:
                 return

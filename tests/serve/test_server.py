@@ -9,7 +9,7 @@ import socket
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MemoryCache, PipelineConfig
@@ -17,7 +17,7 @@ from repro.rules import REGISTRY, RuleProfile
 from repro.serve import AssessmentServer, encode_reply, run_stdio, \
     run_tcp
 from repro.serve.protocol import canonical
-from repro.serve.server import _merge_runs
+from repro.serve.server import _Column, _merge_runs
 from repro.store import Store
 from repro.testing import Fault, FaultPlan, FaultyChecker
 
@@ -71,6 +71,29 @@ class TestAssessVerb:
         assert third["cache"]["hits"] == per_file
         assert any("UD9.goto" in finding
                    for finding in third["findings"]["unit_design"])
+
+    def test_single_file_edit_looks_up_only_that_file(self, tree):
+        """The untouched file's entries are reused, not looked up; the
+        reply still counts them as hits."""
+        gets = []
+
+        class Counting(MemoryCache):
+            def get(self, key):
+                gets.append(key)
+                return super().get(key)
+
+        server = AssessmentServer(tree)
+        server.cache = Counting()
+        first = assess(server)
+        per_file = first["cache"]["puts"] // first["files"]
+        del gets[:]
+        write(tree, "clean.cpp", GOTO + CLEAN)
+        edited = assess(server)
+        assert len(gets) == per_file
+        assert edited["cache"]["hits"] == per_file
+        del gets[:]
+        assert assess(server)["cache"]["hits"] == per_file * 2
+        assert gets == []
 
     def test_explicit_path_overrides_default_root(self, tree, tmp_path):
         other = tmp_path / "other"
@@ -404,6 +427,30 @@ class TestStoreBackedServing:
             assert len(keys) == 4
             assert set(record.objects) == keys
 
+    def test_objects_removed_between_requests_are_recomputed(self, tree,
+                                                             tmp_path):
+        """An on-disk store declines stage-1 reuse, so a ``--store``
+        daemon looks every file up: an object removed between requests
+        (as gc removes one no run pins any more) is a plain miss,
+        recomputed, put back and pinned by the next run record."""
+        store = Store(str(tmp_path / "store"))
+        server = AssessmentServer(tree, store=store)
+        first = assess(server)
+        for _, path in server.cache.entries():
+            os.remove(path)
+        write(tree, "clean.cpp", GOTO + CLEAN)
+        second = assess(server)
+        per_file = first["cache"]["puts"] // first["files"]
+        assert second["cache"]["hits"] == 0
+        assert second["cache"]["misses"] == per_file * second["files"]
+        assert second["cache"]["puts"] == per_file * second["files"]
+        record = list(store.history().records())[-1]
+        assert {key for key, _ in server.cache.entries()} == \
+            set(record.objects)
+        third = assess(server)
+        assert third["cache"]["hits"] == per_file * third["files"]
+        assert stable(third) == stable(second)
+
     def test_run_records_show_which_parts_moved(self, tree, tmp_path):
         store = Store(str(tmp_path / "store"))
         server = AssessmentServer(tree, store=store)
@@ -545,3 +592,57 @@ class TestMergeRuns:
         assert located == ["a", "b", "bb", "c", "d", "e"]
         assert pieces == [first[3], ",", '"bb"', ",", second[3], ",",
                           '"e"']
+
+
+def _run(strings):
+    return (strings[0], strings[-1], strings, canonical(strings)[1:-1])
+
+
+class TestColumn:
+    """A checker's column updated around changed runs equals one built
+    from nothing, blocks included."""
+
+    strings = st.lists(st.text("ab:", max_size=3), min_size=1,
+                       max_size=4).map(sorted)
+    states = st.tuples(
+        st.dictionaries(st.integers(0, 5), strings, max_size=5),
+        st.lists(st.text("ab:", max_size=3), max_size=4).map(sorted))
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(states, min_size=1, max_size=5))
+    def test_updates_equal_a_fresh_build(self, steps):
+        column = _Column()
+        kept = {}
+        for version, (runs, fresh) in enumerate(steps):
+            # a changed run comes back under a new key, like a bundle's
+            runs = {(key, tuple(strings)): strings
+                    for key, strings in runs.items()}
+            removed = [key for key in kept if key not in runs]
+            added = {key: _run(strings) for key, strings in runs.items()
+                     if key not in kept}
+            column.update(removed, added, fresh)
+            kept = runs
+            built = _Column()
+            built.update([], {key: _run(strings)
+                              for key, strings in runs.items()}, fresh)
+            everything = sorted(fresh + [string for strings in runs.values()
+                                         for string in strings])
+            assert column.located == built.located == everything
+            assert column.pieces == built.pieces
+            assert "[" + "".join(column.pieces[:-1]) + "]" == \
+                canonical(everything)
+            assert [block[:4] for block in column.blocks] == \
+                [block[:4] for block in built.blocks]
+
+    def test_loose_strings_join_a_neighbouring_loose_block(self):
+        column = _Column()
+        column.update([], {1: _run(["c", "d"])}, ["a"])
+        column.update([], {}, ["a", "b"])
+        assert column.pieces == ['"a","b"', ",", '"c","d"', ","]
+
+    def test_unchanged_update_keeps_the_lists(self):
+        column = _Column()
+        column.update([], {1: _run(["a", "b"]), 2: _run(["c"])}, ["bb"])
+        located, pieces = column.located, column.pieces
+        column.update([], {}, ["bb"])
+        assert column.located is located and column.pieces is pieces

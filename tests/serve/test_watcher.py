@@ -153,3 +153,30 @@ class TestEdgeRaces:
         assert "new.cpp" not in watcher.sources
         # the existing files must not be reported removed
         assert delta.removed == []
+
+
+class TestSymlinks:
+    def test_symlinked_directory_is_not_followed(self, tree):
+        os.symlink(tree, os.path.join(tree, "loop"))
+        watcher = TreeWatcher(tree)
+        assert watcher.poll().added == ["clean.cpp", "dirty.cpp"]
+        assert not watcher.poll().material
+
+    def test_symlinked_file_is_watched(self, tree, tmp_path):
+        target = write(tmp_path, "outside.cc", CLEAN)
+        os.symlink(target, os.path.join(tree, "linked.cc"))
+        watcher = TreeWatcher(tree)
+        assert "linked.cc" in watcher.poll().added
+        write(tmp_path, "outside.cc", GOTO)
+        bump_mtime(target)
+        assert watcher.poll().changed == ["linked.cc"]
+        assert watcher.sources["linked.cc"] == GOTO
+
+    def test_dangling_symlink_is_ignored(self, tree, tmp_path):
+        os.symlink(str(tmp_path / "no-such-target"),
+                   os.path.join(tree, "ghost.cc"))
+        watcher = TreeWatcher(tree)
+        delta = watcher.poll()
+        assert delta.added == ["clean.cpp", "dirty.cpp"]
+        assert delta.skipped == []
+        assert "ghost.cc" not in watcher.sources
