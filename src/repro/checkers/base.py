@@ -430,7 +430,7 @@ class ProjectDelta(NamedTuple):
     previous: CheckerReport
     removed: Sequence[FoldedUnit]
     added: Sequence[FoldedUnit]
-    order: Sequence[str] = ()
+    order: Sequence[str]
 
     def paths(self) -> set:
         """Every changed, added or removed path."""
@@ -458,7 +458,7 @@ class ProjectChange(NamedTuple):
     reports: Dict[str, CheckerReport]
     removed: Sequence[Tuple[UnitSummary, Dict[str, CheckerReport]]]
     added: Sequence[Tuple[UnitSummary, Dict[str, CheckerReport]]]
-    order: Sequence[str] = ()
+    order: Sequence[str]
 
     @property
     def empty(self) -> bool:
@@ -576,8 +576,9 @@ class Checker:
     def merge_units(self, report: CheckerReport,
                     unit_reports: Sequence[CheckerReport],
                     fold: Optional[ProjectDelta] = None) -> UnitMerge:
-        """Merge ``unit_reports`` into the fresh ``report``; returns
-        their :class:`StatTally` and the merged :class:`UnitLayout`.
+        """Merge ``unit_reports`` into the fresh, empty ``report``;
+        returns their :class:`StatTally` and the merged
+        :class:`UnitLayout`.
 
         Findings, suppressed findings and crashes come out concatenated
         in unit order and the integer stats set from the tally, exactly
@@ -591,6 +592,8 @@ class Checker:
         and the unchanged units' runs are copied as slices.  Float
         stats are left to :meth:`settle`.
         """
+        assert not (report.findings or report.suppressed
+                    or report.crashes), "unit findings lead the report"
         if fold is None:
             tally = StatTally.of(unit_reports)
         else:
@@ -598,10 +601,9 @@ class Checker:
                 [unit_report for _, unit_report in fold.removed],
                 [unit_report for _, unit_report in fold.added])
         report.stats.update(tally.stats())
-        layout = (fold.previous.partials.layout
-                  if fold is not None else None)
-        if layout is not None and len(layout.findings) == len(fold.order):
-            return UnitMerge(tally, _splice_units(report, fold, layout))
+        if fold is not None and fold.previous.partials.layout is not None:
+            return UnitMerge(tally, _splice_units(
+                report, fold, fold.previous.partials.layout))
         findings, suppressed, crashes = (report.findings,
                                          report.suppressed, report.crashes)
         for unit_report in unit_reports:
@@ -783,15 +785,13 @@ def _splice_units(report: CheckerReport, fold: ProjectDelta,
             starts.append(offset)
             unit = index
         items = getattr(report, name)
-        base = len(items)
         items.extend(getattr(previous, name))
-        del items[base + sum(counts):]  # the previous project-level part
+        del items[sum(counts):]  # the previous project-level part
         sizes = list(counts)
         for (index, present, unit_report), start in zip(reversed(changes),
                                                         reversed(starts)):
             new = getattr(unit_report, name) if unit_report is not None \
                 else []
-            start += base
             items[start:start + (counts[index] if present else 0)] = new
             sizes[index:index + 1 if present else index] = \
                 [len(new)] if unit_report is not None else []

@@ -58,8 +58,6 @@ reader.
 from __future__ import annotations
 
 import gc
-from itertools import compress
-from operator import is_, itemgetter, not_
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
                     Optional, Tuple)
 
@@ -593,15 +591,8 @@ class AssessmentPipeline:
                            check_keys[path] if path in units else None)
                     for path in looked_up}
             if reused:
-                if len(old.files) == len(paths) \
-                        and all(map(old.files.__contains__, looked_up)):
-                    # the same paths as ``old``, hence in the same order
-                    merged = dict(old.files)
-                    merged.update(keys)
-                    keys = merged
-                else:
-                    keys = {path: reused.get(path) or keys[path]
-                            for path in paths}
+                keys = {path: reused.get(path) or keys[path]
+                        for path in paths}
         return _FileStage(units, bundles, unparseable, keys, outcomes,
                           looked_up)
 
@@ -617,29 +608,27 @@ class AssessmentPipeline:
         The cache accounts the reused entries as hits in one
         :meth:`~repro.store.objects.ObjectStore.reuse`, counted per
         stage like lookups; when it declines (an on-disk store), nothing
-        is filed and every path is looked up.  The per-path work is
-        done by ``map`` and ``compress``, so an unchanged tree of many
-        files costs little Python.
+        is filed and every path is looked up.
         """
-        same = list(map(is_, map(old.sources.get, paths),
-                        map(sources.__getitem__, paths)))
-        kept = list(compress(paths, same))
+        kept = [path for path in paths
+                if old.sources.get(path) is sources[path]]
         if not kept:
             return paths
-        file_keys = list(map(old.files.__getitem__, kept))
-        checked = list(filter(None, map(itemgetter(2), file_keys)))
+        file_keys = [old.files[path] for path in kept]
+        checked = [key[2] for key in file_keys if key[2] is not None]
         if not self.config.cache.reuse(
-                list(map(itemgetter(1), file_keys)) + checked):
+                [key[1] for key in file_keys] + checked):
             return paths
-        reused.update(zip(kept, file_keys))
-        outcomes.update(zip(kept, map(old.outcomes.__getitem__, kept)))
-        bundled = list(filter(old.bundles.__contains__, kept))
-        bundles.update(zip(bundled, map(old.bundles.__getitem__, bundled)))
+        for path, file_key in zip(kept, file_keys):
+            reused[path] = file_key
+            outcomes[path] = old.outcomes[path]
+            if path in old.bundles:
+                bundles[path] = old.bundles[path]
         counter = self.tracer.metrics.counter
         counter("cache.hits", stage="parse").inc(len(kept))
         if checked:
             counter("cache.hits", stage="check").inc(len(checked))
-        return list(compress(paths, map(not_, same)))
+        return [path for path in paths if path not in reused]
 
     def _lookup(self, stage: str, key: str):
         """One cache lookup, counted per stage."""

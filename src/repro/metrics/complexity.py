@@ -9,7 +9,7 @@ Figure 3 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from ..lang.cppmodel import FunctionInfo, TranslationUnit
 from .bands import (
@@ -36,14 +36,7 @@ class FunctionComplexity:
 
 @dataclass
 class ComplexitySummary:
-    """Aggregated complexity statistics for a set of functions.
-
-    :attr:`moderate_or_higher` and :attr:`max_complexity` are worked out
-    once, on first read: a summary is complete once built, and the
-    pipeline then shares it read-only (an unchanged module's metrics
-    serve every later run of a daemon).  :meth:`extend` starts them
-    over.
-    """
+    """Aggregated complexity statistics for a set of functions."""
 
     records: List[FunctionComplexity] = field(default_factory=list)
 
@@ -55,19 +48,9 @@ class ComplexitySummary:
     def complexities(self) -> List[int]:
         return [record.complexity for record in self.records]
 
-    def _totals(self) -> Tuple[int, int]:
-        """``(moderate_or_higher, max_complexity)``, memoized."""
-        totals = self.__dict__.get("_memo_totals")
-        if totals is None:
-            values = self.complexities
-            totals = self.__dict__["_memo_totals"] = (
-                sum(1 for value in values if value > 10),
-                max(values, default=0))
-        return totals
-
     @property
     def max_complexity(self) -> int:
-        return self._totals()[1]
+        return max(self.complexities, default=0)
 
     @property
     def mean_complexity(self) -> float:
@@ -78,7 +61,7 @@ class ComplexitySummary:
     @property
     def moderate_or_higher(self) -> int:
         """Functions with complexity > 10 — the paper's 554-count metric."""
-        return self._totals()[0]
+        return sum(1 for value in self.complexities if value > 10)
 
     def histogram(self) -> Dict[ComplexityBand, int]:
         return band_histogram(self.complexities)
@@ -94,7 +77,6 @@ class ComplexitySummary:
 
     def extend(self, other: "ComplexitySummary") -> None:
         self.records.extend(other.records)
-        self.__dict__.pop("_memo_totals", None)
 
 
 def summarize_functions(functions: Iterable[FunctionInfo],

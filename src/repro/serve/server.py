@@ -700,22 +700,6 @@ def _blocks(runs: List[Tuple[Any, Run]], fresh: List[str]
     return blocks
 
 
-def _merge_runs(runs: List[Run], fresh: List[str],
-                pieces: List[str]) -> List[str]:
-    """One checker's sorted strings, merged from its kept ``runs`` and
-    the sorted ``fresh`` ones (see :func:`_blocks`); appends the JSON
-    array's elements, comma-separated, to ``pieces``."""
-    located: List[str] = []
-    mark = len(pieces)
-    for block in _blocks([(None, run) for run in runs], fresh):
-        located.extend(block.strings)
-        pieces.append(block.fragment)
-        pieces.append(",")
-    if len(pieces) > mark:
-        pieces.pop()
-    return located
-
-
 def _none_within(strings: List[str], first: str, last: str) -> bool:
     """Whether no string of sorted ``strings`` lies in [first, last]."""
     index = bisect_left(strings, first)

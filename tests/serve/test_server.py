@@ -17,7 +17,7 @@ from repro.rules import REGISTRY, RuleProfile
 from repro.serve import AssessmentServer, encode_reply, run_stdio, \
     run_tcp
 from repro.serve.protocol import canonical
-from repro.serve.server import _Column, _merge_runs
+from repro.serve.server import _Column
 from repro.store import Store
 from repro.testing import Fault, FaultPlan, FaultyChecker
 
@@ -570,6 +570,14 @@ class TestSplicedWireBytes:
         self.served(server)
 
 
+def merge_runs(runs, fresh):
+    """One checker's column built from ``runs`` and sorted ``fresh``
+    strings: its strings and its JSON array's elements, comma-separated."""
+    column = _Column()
+    column.update([], dict(enumerate(runs)), fresh)
+    return column.located, column.pieces[:-1]
+
+
 class TestMergeRuns:
     @given(runs=st.lists(st.lists(st.text("ab:", max_size=3), min_size=1,
                                   max_size=4).map(sorted), max_size=5),
@@ -578,8 +586,7 @@ class TestMergeRuns:
     def test_merge_equals_a_full_sort(self, runs, fresh):
         kept = [(run[0], run[-1], run, canonical(run)[1:-1])
                 for run in runs]
-        pieces = []
-        located = _merge_runs(kept, fresh, pieces)
+        located, pieces = merge_runs(kept, fresh)
         everything = sorted(fresh + [s for run in runs for s in run])
         assert located == everything
         assert "[" + "".join(pieces) + "]" == canonical(everything)
@@ -587,11 +594,16 @@ class TestMergeRuns:
     def test_apart_runs_are_spliced_whole(self):
         second = ("c", "d", ["c", "d"], '"c","d"')
         first = ("a", "b", ["a", "b"], '"a","b"')
-        pieces = []
-        located = _merge_runs([second, first], ["bb", "e"], pieces)
+        located, pieces = merge_runs([second, first], ["bb", "e"])
         assert located == ["a", "b", "bb", "c", "d", "e"]
         assert pieces == [first[3], ",", '"bb"', ",", second[3], ",",
                           '"e"']
+
+    def test_runs_sharing_both_ends_are_merged(self):
+        run = ("a", "b", ["a", "b"], '"a","b"')
+        located, pieces = merge_runs([run, run], [])
+        assert located == ["a", "a", "b", "b"]
+        assert pieces == ['"a","a","b","b"']
 
 
 def _run(strings):
