@@ -649,7 +649,8 @@ class Checker:
 
     def new_report(self,
                    units: Iterable[Union[TranslationUnit, UnitSummary]] = (),
-                   flag_deviations: bool = True) -> CheckerReport:
+                   flag_deviations: bool = True,
+                   fold: Optional[ProjectDelta] = None) -> CheckerReport:
         """A report wired to the rules layer for checking ``units``.
 
         ``units`` may be full units or their summaries: both carry the
@@ -662,14 +663,21 @@ class Checker:
         project-level reports whose per-unit reports already did it —
         malformed deviations owned by this checker are emitted as
         findings up front.
+
+        With ``fold`` the merged index is folded from the previous
+        report's instead (see :func:`_folded_deviations`), and ``units``
+        is not read.
         """
         deviations: Optional[DeviationIndex] = None
-        for unit in units:
-            index = unit.deviations
-            if index:
-                if deviations is None:
-                    deviations = DeviationIndex()
-                deviations.extend(index)
+        if fold is not None:
+            deviations = _folded_deviations(fold)
+        else:
+            for unit in units:
+                index = unit.deviations
+                if index:
+                    if deviations is None:
+                        deviations = DeviationIndex()
+                    deviations.extend(index)
         report = CheckerReport(checker=self.name)
         if self.profile is None and deviations is None:
             return report
@@ -755,6 +763,31 @@ class Checker:
         return numerator / denominator
 
 
+def _folded_deviations(fold: ProjectDelta) -> Optional[DeviationIndex]:
+    """The merged :class:`~repro.rules.DeviationIndex` of a folded
+    report's units: the previous report's, shared as it is unless a
+    changed file declares deviations (before or after), and otherwise
+    rebuilt with the changed files' deviations replaced.
+
+    Only the changed files' indexes are read.  A unit's deviations all
+    name its own file, and a fold's units are in path order, so the
+    rebuilt index lists deviations in path order, each file's in source
+    order, as a merge over every unit would.
+    """
+    rules = fold.previous.rules
+    previous = rules.deviations if rules is not None else None
+    added = [unit.deviations for unit, _ in fold.added]
+    if not (any(added) or any(unit.deviations for unit, _ in fold.removed)):
+        return previous
+    paths = fold.paths()
+    kept = [deviation for deviation in previous or ()
+            if deviation.filename not in paths]
+    merged = DeviationIndex(sorted(
+        kept + [deviation for index in added for deviation in index],
+        key=attrgetter("filename")))
+    return merged or None
+
+
 def _splice_units(report: CheckerReport, fold: ProjectDelta,
                   layout: UnitLayout) -> UnitLayout:
     """Fill ``report``'s findings, suppressed findings and crashes from
@@ -766,7 +799,9 @@ def _splice_units(report: CheckerReport, fold: ProjectDelta,
     cut out and its new report's list put in, from the last change
     back, so the earlier changes' offsets still hold.  Two changes at
     one place (a path added before a changed one) come out in path
-    order.
+    order.  A list that is empty before and after (typically the
+    suppressed findings and crashes) just gets the new unit count's
+    zeros.
     """
     order = fold.order
     removed = {unit.filename for unit, _ in fold.removed}
@@ -778,6 +813,10 @@ def _splice_units(report: CheckerReport, fold: ProjectDelta,
     previous = fold.previous
     spliced = []
     for name, counts in zip(_LAYOUT_FIELDS, layout):
+        if not getattr(previous, name) and not any(
+                getattr(unit_report, name) for unit_report in added.values()):
+            spliced.append((0,) * (len(counts) - len(removed) + len(added)))
+            continue
         starts = []
         offset = unit = 0
         for index, _, _ in changes:
@@ -786,7 +825,8 @@ def _splice_units(report: CheckerReport, fold: ProjectDelta,
             unit = index
         items = getattr(report, name)
         items.extend(getattr(previous, name))
-        del items[sum(counts):]  # the previous project-level part
+        # cut the previous project-level part
+        del items[offset + sum(counts[unit:]):]
         sizes = list(counts)
         for (index, present, unit_report), start in zip(reversed(changes),
                                                         reversed(starts)):

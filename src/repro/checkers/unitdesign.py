@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..lang.cppmodel import TYPE_KEYWORDS, FunctionInfo, TranslationUnit
-from ..lang.summary import UnitSummary, unit_summaries
+from ..lang.summary import UnitSummary
 from ..lang.tokens import Token, TokenKind
 from ..rules import REGISTRY, Rule
 from .base import Checker, CheckerReport, Finding, ProjectDelta, Severity
@@ -150,10 +150,12 @@ class UnitDesignChecker(Checker):
         unit at once, and only their summaries.  Overriding this (rather
         than :meth:`check_project`) lets the pipeline distribute and
         cache this checker's per-unit portion like any other.  With
-        ``fold``, both the merge and the recursion pass are folded from
-        the previous report (see :meth:`_recursion`)."""
-        units = unit_summaries(units)
-        report = self.new_report(units, flag_deviations=False)
+        ``fold``, the deviation index, the merge and the recursion pass
+        are all folded from the previous report (see :meth:`_recursion`),
+        so ``units`` is read only when the call graph must be rebuilt.
+        Full units are read as they are: the pass needs nothing a
+        summary does not hold, under the same field names."""
+        report = self.new_report(units, flag_deviations=False, fold=fold)
         merged = self.merge_units(report, unit_reports, fold)
         recursion = self._recursion(units, fold)
         reported = self._report_recursion(recursion, report)

@@ -43,11 +43,12 @@ stages consumed.  Each project part is a fold over files:
 :meth:`AssessmentPipeline.run` handed a ``previous`` result whose
 signature matches in everything but the files rebuilds each part from
 the files whose :data:`FileKey` changed and takes the rest from
-``previous`` — a module's metrics are re-measured only when one of its
-files changed, a per-unit checker's report subtracts the changed files'
+``previous`` — a changed file's module takes its old share out and its
+new one in, a per-unit checker's report subtracts the changed files'
 old per-unit reports and adds their new ones, unit design and
-architecture recompute only the partials those files touch, and the
-evidence reads the folded rule counts.  A cold run is the same fold
+architecture fold their deviation index and partials from those files
+alone, and the evidence reads the folded rule counts and per-module
+complexity figures.  A cold run is the same fold
 starting from nothing, and an unchanged tree is the empty fold: every
 part, down to the tables and observations, is shared (``repro-serve``
 does this for a repeat ``assess``).  Either way the result equals a
@@ -153,8 +154,10 @@ class ProjectParts(NamedTuple):
     run's ``{path: source}`` snapshot, and ``outcomes``, ``units`` and
     ``bundles`` are the parse outcomes, summaries and bundles stage 1
     produced — live in the cache anyway — keyed by path; ``files`` and
-    ``units`` are in path order.  The checkers' own partials ride on
-    their reports (:attr:`~repro.checkers.base.CheckerReport.partials`).
+    ``units`` are in path order.  The module metrics and the checkers'
+    partials ride on the result (each module's complexity records in
+    its :class:`~repro.metrics.report.ModuleMetrics`, the partials on
+    the reports, :attr:`~repro.checkers.base.CheckerReport.partials`).
     ``changed`` holds the paths changed, added or removed since the
     result this run folded its project stages from (``None`` when it
     folded from nothing).  ``reused`` and ``recomputed`` count this
@@ -167,7 +170,6 @@ class ProjectParts(NamedTuple):
     outcomes: Dict[str, ParseOutcome]
     units: Dict[str, UnitSummary]
     bundles: Dict[str, Bundle]
-    module_of: Dict[str, str]
     changed: Optional[FrozenSet[str]]
     reused: int
     recomputed: int
@@ -328,9 +330,8 @@ class AssessmentPipeline:
             signature = self._signature(fingerprints, keys)
             base = self._fold_base(signature, keys, stage.looked_up,
                                    previous, units_by_path, bundles)
-            project, module_of, (reused, recomputed) = \
-                self._project_stages(checkers, units, bundles, crashes,
-                                     base)
+            project, (reused, recomputed) = self._project_stages(
+                checkers, units, units_by_path, bundles, crashes, base)
             root.set("units", len(units))
             root.set("jobs", self.jobs)
         reports = project.reports
@@ -344,7 +345,7 @@ class AssessmentPipeline:
         if signature is not None:
             parts = ProjectParts(
                 files=keys, sources=dict(sources), outcomes=stage.outcomes,
-                units=units_by_path, bundles=bundles, module_of=module_of,
+                units=units_by_path, bundles=bundles,
                 changed=base.changed if base is not None else None,
                 reused=reused, recomputed=recomputed)
         return AssessmentResult(
@@ -394,14 +395,13 @@ class AssessmentPipeline:
 
     def _project_stages(self, checkers: List[Checker],
                         units: List[UnitSummary],
+                        units_by_path: Dict[str, UnitSummary],
                         bundles: Dict[str, Bundle],
                         crashes: List[CheckerCrash],
                         base: Optional[_FoldBase]
-                        ) -> Tuple[_ProjectStages, Dict[str, str],
-                                   Tuple[int, int]]:
+                        ) -> Tuple[_ProjectStages, Tuple[int, int]]:
         """Stages 2–6 folded from ``base`` (from nothing when ``None``):
-        ``(stages, module of each unit's path, (parts reused, parts
-        recomputed))``.
+        ``(stages, (parts reused, parts recomputed))``.
 
         Every part whose inputs are unchanged is ``previous``'s own
         object; its stage span is marked ``reused``.
@@ -409,7 +409,7 @@ class AssessmentPipeline:
         tracer = self.tracer
         metrics = tracer.metrics
         previous = base.previous if base is not None else None
-        modules, module_of, remeasured = self._measure_modules(units, base)
+        modules, remeasured = self._measure_modules(units_by_path, base)
         with tracer.span("checkers") as span:
             reports = finish_checkers(
                 checkers, units,
@@ -457,8 +457,7 @@ class AssessmentPipeline:
         metrics.counter("pipeline.parts_reused").inc(reused)
         metrics.counter("pipeline.parts_recomputed").inc(recomputed)
         return (_ProjectStages(modules, reports, evidence, tables,
-                               observations), module_of,
-                (reused, recomputed))
+                               observations), (reused, recomputed))
 
     def _signature(self, fingerprints: Tuple[str, ...],
                    keys: Optional[Dict[str, FileKey]]
@@ -698,43 +697,43 @@ class AssessmentPipeline:
     # ------------------------------------------------------------------
     # stage 2: metrics
 
-    def _measure_modules(self, units: List[UnitSummary],
+    def _measure_modules(self, units: Dict[str, UnitSummary],
                          base: Optional[_FoldBase]
-                         ) -> Tuple[List[ModuleMetrics], Dict[str, str],
-                                    int]:
-        """Module metrics, each module's re-measured only when one of its
-        files changed since ``base``: ``(modules in name order, module of
-        each unit's path, modules measured)``."""
+                         ) -> Tuple[List[ModuleMetrics], int]:
+        """Module metrics folded from ``base`` (from nothing when
+        ``None``): ``(modules in name order, modules measured)``.  Only
+        the changed files' modules are re-measured, each by taking those
+        files' old summaries out and putting their new ones in
+        (:func:`~repro.metrics.report.measure_module`), so nothing but
+        the changed files is read."""
         module_of = self.config.module_of
-        known: Dict[str, str] = {}
-        previous: Dict[str, ModuleMetrics] = {}
-        dirty = set()
-        if base is not None:
-            known = base.previous.parts.module_of
+        if base is None:
+            previous: Dict[str, ModuleMetrics] = {}
+            added, removed = list(units.values()), []
+        else:
+            old = base.previous.parts.units
             previous = {module.name: module
                         for module in base.previous.modules}
-            dirty.update(known[path] for path in base.changed
-                         if path in known)
-        by_module: Dict[str, List[UnitSummary]] = {}
-        modules_of: Dict[str, str] = {}
-        for unit in units:
-            path = unit.filename
-            module = known.get(path)
-            if module is None:
-                module = module_of(path)
-            modules_of[path] = module
-            by_module.setdefault(module, []).append(unit)
-        if base is not None:
-            dirty.update(modules_of[path] for path in base.changed
-                         if path in modules_of)
+            changed = sorted(base.changed)
+            added = [units[path] for path in changed if path in units]
+            removed = [old[path] for path in changed if path in old]
+        gone: Dict[str, List[UnitSummary]] = {}
+        came: Dict[str, List[UnitSummary]] = {}
+        for side, files in ((gone, removed), (came, added)):
+            for unit in files:
+                side.setdefault(module_of(unit.filename), []).append(unit)
         measured = 0
         with self.tracer.span("metrics") as span:
             modules: List[ModuleMetrics] = []
-            for name, members in sorted(by_module.items()):
-                metrics = (previous.get(name) if name not in dirty
-                           else None)
-                if metrics is None:
-                    metrics = measure_module(name, members, tracer=self.tracer)
+            for name in sorted(previous.keys() | came.keys()):
+                metrics = previous.get(name)
+                if name in gone or name in came:
+                    cut = gone.get(name, [])
+                    if name not in came and metrics.file_count == len(cut):
+                        continue  # every file of the module is gone
+                    metrics = measure_module(
+                        name, came.get(name, []), tracer=self.tracer,
+                        previous=metrics, removed=cut)
                     measured += 1
                 modules.append(metrics)
             if base is not None and not measured \
@@ -746,7 +745,7 @@ class AssessmentPipeline:
         counters.counter("pipeline.modules_measured").inc(measured)
         if base is not None:
             counters.counter("pipeline.modules_remeasured").inc(measured)
-        return modules, modules_of, measured
+        return modules, measured
 
     # ------------------------------------------------------------------
     # stage 3: checkers
@@ -778,13 +777,11 @@ class AssessmentPipeline:
                            ) -> EvidenceSet:
         evidence = EvidenceSet()
         evidence.put("complexity", {
-            "moderate_or_higher": sum(
-                module.complexity.moderate_or_higher
-                for module in modules),
+            "moderate_or_higher": sum(module.moderate_or_higher
+                                      for module in modules),
             "functions": sum(module.function_count for module in modules),
             "max_complexity": max(
-                (module.complexity.max_complexity for module in modules),
-                default=0),
+                (module.max_complexity for module in modules), default=0),
         }, source="metrics:complexity")
         checker_backed = (
             ("language_subset", "language_subset"),

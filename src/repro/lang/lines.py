@@ -49,6 +49,15 @@ class LineCounts:
             preprocessor=self.preprocessor + other.preprocessor,
         )
 
+    def __sub__(self, other: "LineCounts") -> "LineCounts":
+        return LineCounts(
+            total=self.total - other.total,
+            code=self.code - other.code,
+            comment=self.comment - other.comment,
+            blank=self.blank - other.blank,
+            preprocessor=self.preprocessor - other.preprocessor,
+        )
+
 
 EMPTY_LINE_COUNTS = LineCounts(total=0, code=0, comment=0, blank=0,
                                preprocessor=0)

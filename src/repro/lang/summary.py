@@ -20,7 +20,8 @@ re-walking it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Tuple, Union
+from typing import (Iterable, List, NamedTuple, Sequence, Tuple, TypeVar,
+                    Union)
 
 from ..rules.deviations import DeviationIndex
 from .cppmodel import GlobalVariable, TranslationUnit
@@ -28,7 +29,10 @@ from .lines import LineCounts
 from .preprocessor import Include
 
 __all__ = ["ClassSummary", "FunctionSummary", "UnitSummary",
-           "summarize_unit", "unit_summaries"]
+           "splice_files", "summarize_unit", "unit_summaries"]
+
+#: A record carrying the ``filename`` of the file it belongs to.
+Located = TypeVar("Located")
 
 
 class FunctionSummary(NamedTuple):
@@ -107,3 +111,39 @@ def unit_summaries(units: Iterable[Union[TranslationUnit, UnitSummary]]
     """
     return [summarize_unit(unit) if isinstance(unit, TranslationUnit)
             else unit for unit in units]
+
+
+def splice_files(items: Sequence[Located], removed: Iterable[str],
+                 added: Sequence[Tuple[str, Sequence[Located]]]
+                 ) -> List[Located]:
+    """``items`` — records grouped by ``filename``, files in path order
+    — with each ``removed`` file's run cut out and each ``added`` file's
+    run put in at its place.
+
+    A project-level fold keeps its per-file records this way (module
+    complexity records, architecture findings), so a changed file's run
+    is found by bisection: the changed paths are visited in path order,
+    the untouched stretches between them copied as slices.  Into no
+    ``items``, ``added`` is concatenated in the order given.
+    """
+    new = dict(added)
+    paths = [*new, *(path for path in removed if path not in new)]
+    if items:
+        paths.sort()
+    out: List[Located] = []
+    start = 0
+    for path in paths:
+        low, high = start, len(items)
+        while low < high:
+            middle = (low + high) // 2
+            if items[middle].filename < path:
+                low = middle + 1
+            else:
+                high = middle
+        out += items[start:low]
+        out += new.get(path, ())
+        start = low
+        while start < len(items) and items[start].filename == path:
+            start += 1
+    out += items[start:]
+    return out

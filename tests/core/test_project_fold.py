@@ -10,9 +10,12 @@ import copy
 import pytest
 
 from repro.checkers import unitdesign
+from repro.checkers.architecture import ArchitectureChecker, module_from_path
 from repro.core import AssessmentPipeline, MemoryCache, PipelineConfig
 from repro.corpus import apollo_spec, generate_corpus
+from repro.metrics import complexity
 from repro.obs import Tracer
+from repro.rules import DeviationIndex
 
 from .test_parallel_cache import assert_identical
 
@@ -41,7 +44,7 @@ def snapshot(result):
         result.modules,
         [result.evidence.get(key) for key in result.evidence.keys()],
         result.tables,
-        result.observations, parts.files, parts.module_of, parts.bundles,
+        result.observations, parts.files, parts.bundles,
         [(unit.filename, unit.functions, unit.classes, unit.line_count)
          for unit in parts.units.values()],
         {name: (report.findings, report.suppressed, report.stats,
@@ -66,10 +69,7 @@ class TestFold:
         sources, path = edited(corpus_sources, "\n// a comment\n")
         second = run(sources, previous=first, cache=cache)
         module = next(module for module in second.modules
-                      if any(unit == path
-                             for unit in second.parts.units
-                             if second.parts.module_of[unit]
-                             == module.name))
+                      if module.name == module_from_path(path))
         for old, new in zip(first.modules, second.modules):
             assert (old is new) == (new is not module)
         assert not second.project_reused
@@ -130,3 +130,101 @@ class TestFold:
         second = run(sources, previous=first, cache=cache)
         assert "brand_new" in [module.name for module in second.modules]
         assert_identical(second, run(sources))
+
+
+class TestOneFileEditWork:
+    """A one-file edit does project-level work for that file only."""
+
+    def test_comment_edit_touches_only_the_edited_file(
+            self, corpus_sources, monkeypatch):
+        cache = MemoryCache()
+        first = run(corpus_sources, cache=cache)
+        path = next(path for path, unit in first.parts.units.items()
+                    if unit.functions)
+        sources = dict(corpus_sources)
+        sources[path] += "\n// a comment\n"
+
+        records = []
+        record_type = complexity.FunctionComplexity
+
+        def counted_record(*args, **kwargs):
+            record = record_type(*args, **kwargs)
+            records.append(record.filename)
+            return record
+
+        partials = []
+        unit_partial = ArchitectureChecker._unit_partial
+
+        def counted_partial(self, unit):
+            partials.append(unit.filename)
+            return unit_partial(self, unit)
+
+        touched = []
+        extend, truth = DeviationIndex.extend, DeviationIndex.__bool__
+
+        def counted_extend(self, other):
+            touched.append(id(other))
+            return extend(self, other)
+
+        def counted_truth(self):
+            touched.append(id(self))
+            return truth(self)
+
+        monkeypatch.setattr(complexity, "FunctionComplexity", counted_record)
+        monkeypatch.setattr(ArchitectureChecker, "_unit_partial",
+                            counted_partial)
+        monkeypatch.setattr(DeviationIndex, "extend", counted_extend)
+        monkeypatch.setattr(DeviationIndex, "__bool__", counted_truth)
+        second = run(sources, previous=first, cache=cache)
+
+        assert records and set(records) == {path}
+        assert partials == [path]
+        unchanged = {id(unit.deviations)
+                     for name, unit in first.parts.units.items()
+                     if name != path}
+        assert touched and not unchanged & set(touched)
+        monkeypatch.undo()
+        assert_identical(second, run(sources))
+
+    def test_module_complexity_figures_follow_their_maximum(
+            self, corpus_sources):
+        """Adding, then removing, a module's most complex function moves
+        the folded figures both ways, as a cold run reads them."""
+        cache = MemoryCache()
+        first = run(corpus_sources, cache=cache)
+        branches = " ".join(f"if (a > {k}) {{ a++; }}" for k in range(150))
+        complex_, path = edited(
+            corpus_sources, f"\nint tangled(int a) {{ {branches} }}\n")
+        second = run(complex_, previous=first, cache=cache)
+        evidence = second.evidence.get("complexity").stats
+        assert evidence["max_complexity"] == 151
+        assert evidence["moderate_or_higher"] == \
+            first.evidence.get("complexity").stats["moderate_or_higher"] + 1
+        assert_identical(second, run(complex_))
+        plain = dict(complex_)
+        plain[path] = corpus_sources[path] + "\n"
+        third = run(plain, previous=second, cache=cache)
+        assert third.modules == run(plain).modules
+        assert third.evidence.get("complexity") == \
+            first.evidence.get("complexity")
+        assert_identical(third, run(plain))
+
+    def test_deviated_architecture_findings_fold(self, corpus_sources):
+        """A file's suppressed AR6 finding is cut out and put back when
+        the file is edited again."""
+        cache = MemoryCache()
+        first = run(corpus_sources, cache=cache)
+        spawning, path = edited(
+            corpus_sources, "\nint spawn(int a) { a = pthread_create(a); "
+            "return a; }  // DEVIATION(AR6.scheduling: reviewed)\n")
+        second = run(spawning, previous=first, cache=cache)
+        suppressed = second.reports["architecture"].suppressed
+        assert [(f.rule, f.filename) for f in suppressed] == \
+            [("AR6.scheduling", path)]
+        again, _ = edited(spawning, "\n// a comment\n")
+        third = run(again, previous=second, cache=cache)
+        cold = run(again)
+        for result, reference in ((second, run(spawning)), (third, cold)):
+            assert result.reports["architecture"].suppressed == \
+                reference.reports["architecture"].suppressed
+            assert_identical(result, reference)

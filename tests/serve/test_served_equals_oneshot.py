@@ -25,10 +25,14 @@ from repro.store import Store
 from .conftest import plain
 from .test_server import stable
 
-#: Every edit kind the fold has a distinct path for.
+#: Every edit kind the fold has a distinct path for; "spawn",
+#: "wide_class" and "complex"/"simplify" give the architecture runs
+#: (AR6/AR7, AR3) and the evidence's complexity figures something to
+#: fold.
 EDITS = ("comment", "add_function", "remove_function", "cycle", "uncycle",
          "move", "add_file", "add_module", "delete_file", "include",
-         "deviation", "revert", "rename")
+         "deviation", "revert", "rename", "spawn", "wide_class", "complex",
+         "simplify")
 
 PROFILES = {
     "default": None,
@@ -44,7 +48,8 @@ class Tree:
         self.root = root
         self.stamp = 0
         self.serial = 0
-        #: path -> {"lead", "includes", "functions", "comments"}
+        #: path -> {"lead", "includes", "functions", "comments",
+        #: "deviations", "classes", "complex"}
         self.files: Dict[str, dict] = {}
         #: path -> every model written there, oldest first
         self.history: Dict[str, List[dict]] = {}
@@ -62,7 +67,8 @@ class Tree:
     @staticmethod
     def _fresh(functions: List[Tuple[str, List[str]]]) -> dict:
         return {"lead": 0, "includes": [], "functions": functions,
-                "comments": [], "deviations": []}
+                "comments": [], "deviations": [], "classes": [],
+                "complex": []}
 
     def _name(self) -> str:
         self.serial += 1
@@ -77,8 +83,15 @@ class Tree:
                     f"goto done; done: return a; }}")
             for rule, rationale in model["deviations"]:
                 if rule.startswith(name + ":"):
-                    line += f" // DEVIATION({rule.split(':')[1]}){rationale}"
+                    line += f" // DEVIATION({rule.split(':')[1]}{rationale})"
             lines.append(line)
+        for name in model["classes"]:
+            methods = " ".join(f"int m{k}(int a);" for k in range(21))
+            lines.append(f"class {name} {{ public: {methods} }};")
+        for name in model["complex"]:
+            branches = " ".join(f"if (a > {k}) {{ a++; }}"
+                                for k in range(11))
+            lines.append(f"int {name}(int a) {{ {branches} return a; }}")
         lines.extend(model["comments"])
         return "\n".join(lines) + "\n"
 
@@ -173,6 +186,21 @@ class Tree:
                                      if target not in line]
             else:
                 model["includes"].append(f'#include "{target}"')
+        elif kind == "spawn":
+            if not model["functions"]:
+                return
+            index = pick % len(model["functions"])
+            name, calls = model["functions"][index]
+            callee = ("pthread_create", "signal")[pick // 2 % 2]
+            model["functions"][index] = (name, calls + [callee])
+        elif kind == "wide_class":
+            model["classes"].append(f"Wide{self._name()}")
+        elif kind == "complex":
+            model["complex"].append(self._name())
+        elif kind == "simplify":
+            if not model["complex"]:
+                return
+            model["complex"].pop(pick % len(model["complex"]))
         elif kind == "deviation":
             if not model["functions"]:
                 return
